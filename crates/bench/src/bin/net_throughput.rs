@@ -41,16 +41,14 @@
 //! bulk session saturates the daemon; skipped under `--quick`). Writes
 //! `BENCH_net_daemon.json` unless `--out` overrides.
 //!
-//! `--daemon --transport uring` runs the daemon ladder three ways, head
-//! to head: the default shared shape (ONE ring and ONE driver thread
-//! for every admitted session, multishot receive into provided
-//! buffers), the `RFTP_URING_SHARED=0` ring-per-session baseline, and
-//! TCP for reference. Each scale point's JSON carries the ring counters
-//! (`enters`, `cqes`, CQEs/block, multishot re-arms, pbuf exhaustion,
-//! buffer registrations) plus the driver-thread count. The full run
-//! gates on the shared shape: one driver thread and exactly one buffer
-//! registration at 4 sessions, fairness ≥ 0.9 everywhere, and shared
-//! aggregate at least the per-session baseline's.
+//! `--daemon --transport uring` runs the daemon ladder on the shared
+//! ring (ONE ring and ONE driver thread for every admitted session,
+//! multishot receive into provided buffers), with TCP for reference.
+//! Each scale point's JSON carries the ring counters (`enters`, `cqes`,
+//! CQEs/block, multishot re-arms, pbuf exhaustion, buffer
+//! registrations) plus the driver-thread count. The full run gates on
+//! the shared shape: one driver thread and exactly one buffer
+//! registration at 4 sessions, and fairness ≥ 0.9 everywhere.
 
 use rftp_bench::{bs_label, MB};
 use rftp_core::AdaptSnapshot;
@@ -188,7 +186,7 @@ struct Entry {
     r: LiveReport,
 }
 
-/// The `RFTP_URING_STATS` counters as a JSON object (`null` when the
+/// The ring counters of a [`UringStats`] as a JSON object (`null` when the
 /// run had no ring). `blocks` normalizes the per-block rates the gates
 /// read: CQEs/block is the kernel-crossing cost the multishot receive
 /// path collapses.
@@ -711,15 +709,12 @@ struct ScalePoint {
     fairness: f64,
     per_session_gbps: Vec<f64>,
     /// Sink-side data-path threads across all sessions (TCP spends
-    /// one per channel per session; uring one per session or — shared
-    /// ring — one for the whole daemon).
+    /// one per channel per session; uring one for the whole daemon).
     data_path_threads: u64,
-    /// Threads driving ring(s): 1 in shared mode, one per session in
-    /// the ring-per-session baseline, 0 for TCP.
+    /// Threads driving the shared ring: 1 for uring, 0 for TCP.
     driver_threads: u64,
     blocks: u64,
-    /// Shared-ring counters (shared mode) or the per-session rings'
-    /// counters summed (baseline), so the two shapes read head-to-head.
+    /// The daemon's shared-ring counters (uring only).
     uring: Option<UringStats>,
 }
 
@@ -761,25 +756,7 @@ fn daemon_scale_point(backend: Backend, n: usize, per_session_bytes: u64) -> Sca
         sinks.iter().map(|r| r.transport_threads as u64).sum()
     };
     let blocks: u64 = sinks.iter().map(|r| r.blocks).sum();
-    // Shared driver stats come from the daemon; in the baseline each
-    // session's sink report carries its own ring's counters.
-    let (uring, driver_threads) = match (&daemon.uring, backend) {
-        (Some(s), _) => (Some(*s), 1),
-        (None, Backend::Uring) => {
-            let per_ring: Vec<&UringStats> =
-                sinks.iter().filter_map(|r| r.uring.as_ref()).collect();
-            let sum = UringStats {
-                enters: per_ring.iter().map(|s| s.enters).sum(),
-                cqes: per_ring.iter().map(|s| s.cqes).sum(),
-                multishot: !per_ring.is_empty() && per_ring.iter().all(|s| s.multishot),
-                multishot_rearms: per_ring.iter().map(|s| s.multishot_rearms).sum(),
-                pbuf_exhausted: per_ring.iter().map(|s| s.pbuf_exhausted).sum(),
-                registrations: per_ring.iter().map(|s| s.registrations).sum(),
-            };
-            (Some(sum), per_ring.len() as u64)
-        }
-        (None, Backend::Tcp | Backend::Shm) => (None, 0),
-    };
+    let driver_threads = u64::from(daemon.uring.is_some());
     ScalePoint {
         sessions: n,
         aggregate_gbps: (n as u64 * per_session_bytes) as f64 / 1e9 / wall,
@@ -788,7 +765,7 @@ fn daemon_scale_point(backend: Backend, n: usize, per_session_bytes: u64) -> Sca
         data_path_threads,
         driver_threads,
         blocks,
-        uring,
+        uring: daemon.uring,
     }
 }
 
@@ -824,7 +801,7 @@ fn daemon_fairness_gate(backend: Backend, bulk_bytes: u64, interactive_bytes: u6
         if g.pass {
             return g;
         }
-        if best.as_ref().map_or(true, |b| ratio(&g) < ratio(b)) {
+        if best.as_ref().is_none_or(|b| ratio(&g) < ratio(b)) {
             best = Some(g);
         }
     }
@@ -934,19 +911,6 @@ fn scale_ladder(backend: Backend, label: &str, per_session: u64) -> Vec<ScalePoi
     points
 }
 
-/// Re-measure the 4-session shared/baseline pair back to back, so
-/// transient machine load hits both shapes of the comparison instead
-/// of one.
-fn remeasure_gate_pair(per_session: u64) -> (ScalePoint, ScalePoint) {
-    let s = daemon_scale_point(Backend::Uring, 4, per_session);
-    print_scale("uring shared *", &s);
-    std::env::set_var("RFTP_URING_SHARED", "0");
-    let b = daemon_scale_point(Backend::Uring, 4, per_session);
-    std::env::remove_var("RFTP_URING_SHARED");
-    print_scale("uring per-ses*", &b);
-    (s, b)
-}
-
 fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
     let per_session = if quick { 16 * MB } else { 128 * MB };
     println!(
@@ -956,29 +920,23 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
         if quick { " (quick)" } else { "" },
     );
 
-    // The requested transport's ladder; for uring, both daemon shapes —
-    // the ONE shared ring (default) against the ring-per-session
-    // baseline (`RFTP_URING_SHARED=0`) — plus TCP for reference.
-    let (mut points, mut baseline, tcp_ref) = match backend {
+    // The requested transport's ladder; for uring (the ONE shared
+    // ring) and shm (zero-copy sessions through the daemon's memfd
+    // slab), TCP runs beside it as the reference ladder.
+    let (points, tcp_ref) = match backend {
         Backend::Tcp => (
             scale_ladder(Backend::Tcp, "tcp          ", per_session),
-            None,
             None,
         ),
         Backend::Uring => {
             let shared = scale_ladder(Backend::Uring, "uring shared ", per_session);
-            std::env::set_var("RFTP_URING_SHARED", "0");
-            let base = scale_ladder(Backend::Uring, "uring per-sess", per_session);
-            std::env::remove_var("RFTP_URING_SHARED");
             let tcp = scale_ladder(Backend::Tcp, "tcp          ", per_session);
-            (shared, Some(base), Some(tcp))
+            (shared, Some(tcp))
         }
-        // Zero-copy sessions through the daemon's memfd slab, with the
-        // same daemon serving TCP as the reference ladder.
         Backend::Shm => {
             let shm = scale_ladder(Backend::Shm, "shm          ", per_session);
             let tcp = scale_ladder(Backend::Tcp, "tcp          ", per_session);
-            (shm, None, Some(tcp))
+            (shm, Some(tcp))
         }
     };
 
@@ -998,46 +956,22 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
     };
 
     // Shared-ring gates (uring, full run): the whole daemon's data path
-    // on ONE driver thread, registration exactly once, per-session
-    // fairness >= 0.9, and shared aggregate at 4 sessions at least the
-    // ring-per-session baseline's.
+    // on ONE driver thread, registration exactly once, and per-session
+    // fairness >= 0.9.
     let mut shape_ok = true;
     if backend == Backend::Uring && !quick {
-        // The aggregate comparison is near parity between two noisy
-        // loopback measurements, so a miss gets the 4-session pair
-        // re-measured back to back (shared then baseline, sharing any
-        // transient machine load) up to twice before it counts.
-        for attempt in 0..3 {
-            let last = points.last().expect("scale points");
-            let base_last = baseline.as_ref().and_then(|b| b.last());
-            let stats = last.uring.as_ref().expect("shared driver stats");
-            let one_driver = last.driver_threads == 1 && last.data_path_threads == 1;
-            let one_reg = stats.registrations == 1;
-            let fair = points.iter().all(|p| p.fairness >= 0.9);
-            let vs_base = base_last.map_or(true, |b| last.aggregate_gbps >= b.aggregate_gbps);
-            shape_ok = one_driver && one_reg && fair && vs_base;
-            // Thread shape and registration count are deterministic;
-            // only the noisy criteria earn a retry.
-            if shape_ok || !(one_driver && one_reg) || attempt == 2 {
-                break;
-            }
-            let (s, b) = remeasure_gate_pair(per_session);
-            *points.last_mut().expect("scale points") = s;
-            if let Some(base) = baseline.as_mut() {
-                *base.last_mut().expect("baseline points") = b;
-            }
-        }
         let last = points.last().expect("scale points");
-        let base_last = baseline.as_ref().and_then(|b| b.last());
         let stats = last.uring.as_ref().expect("shared driver stats");
+        let one_driver = last.driver_threads == 1 && last.data_path_threads == 1;
+        let one_reg = stats.registrations == 1;
+        let min_fair = points.iter().map(|p| p.fairness).fold(f64::MAX, f64::min);
+        shape_ok = one_driver && one_reg && min_fair >= 0.9;
         println!(
             "\n  shared-ring gate @4 sessions: {} driver thread(s), {} registration(s), \
-             min fairness {:.3}, {:.3} GB/s vs per-session {:.3}  [{}]",
+             min fairness {:.3}  [{}]",
             last.driver_threads,
             stats.registrations,
-            points.iter().map(|p| p.fairness).fold(f64::MAX, f64::min),
-            last.aggregate_gbps,
-            base_last.map_or(0.0, |b| b.aggregate_gbps),
+            min_fair,
             if shape_ok { "ok" } else { "FAIL" }
         );
     }
@@ -1057,12 +991,6 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
     };
     let cfg = daemon_cfg(DaemonTransport::Tcp);
     let mut extra = String::new();
-    if let Some(b) = &baseline {
-        extra.push_str(&format!(
-            ",\n  \"scaling_uring_per_session\": [\n{}\n  ]",
-            ladder_json(b)
-        ));
-    }
     if let Some(t) = &tcp_ref {
         extra.push_str(&format!(",\n  \"scaling_tcp\": [\n{}\n  ]", ladder_json(t)));
     }

@@ -39,10 +39,7 @@ use crate::shm::{sink_transport_for_window, SessionWindow, ShmAssembler};
 use crate::split::run_sink_session;
 use crate::store::SlotBuf;
 use crate::transport::UringStats;
-use crate::uring::{
-    run_shared_uring_session, run_uring_session, spawn_shared_uring_driver, UringHub,
-    UringSinkSession,
-};
+use crate::uring::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, reject_reason, CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use rftp_core::{CtrlMsg, SlotArena, WeightedFair};
@@ -169,20 +166,13 @@ pub struct DaemonReport {
     /// violation, peer died during negotiation).
     pub dropped_preadmission: u64,
     /// Shared uring driver counters, when the daemon ran one (uring
-    /// transport, shared mode): every admitted session's data path went
-    /// through this one ring.
+    /// transport): every admitted session's data path went through this
+    /// one ring.
     pub uring: Option<UringStats>,
     /// Admitted sessions that ran the shared-memory transport (subset
     /// of `served`; only possible with [`DaemonConfig::shm_path`] set).
     pub shm_sessions: u64,
     pub sessions: Vec<SessionSummary>,
-}
-
-/// Shared-ring mode is the uring daemon's default; `RFTP_URING_SHARED=0`
-/// forces the ring-per-session baseline (the benchmark's head-to-head
-/// shape).
-fn shared_uring_enabled() -> bool {
-    std::env::var_os("RFTP_URING_SHARED").is_none_or(|v| v != "0")
 }
 
 /// Cloneable remote control for a running daemon: tests and signal
@@ -434,11 +424,11 @@ impl Daemon {
             // One shared ring for every uring session: the whole arena
             // is registered as fixed buffers exactly once, here, before
             // any admission — admission only hands out leases into the
-            // already-registered table. On kernels that can't run the
-            // ring at all the spawn fails and sessions fall back to the
-            // ring-per-session path (which fails the same way, typed).
-            let shared = if d.cfg.transport == DaemonTransport::Uring && shared_uring_enabled() {
-                spawn_shared_uring_driver(scope, &d.slots, d.cfg.slot_cap).ok()
+            // already-registered table. A driver that cannot start
+            // (kernel without io_uring, registration refused) fails the
+            // daemon with its own error before anything is admitted.
+            let shared = if d.cfg.transport == DaemonTransport::Uring {
+                Some(spawn_shared_uring_driver(scope, &d.slots, d.cfg.slot_cap)?)
             } else {
                 None
             };
@@ -750,21 +740,13 @@ fn run_admitted(
             };
             run_sink_session(&cfg, t, Some(first), &view, fair)
         }
-        // Shared mode: the session joins the daemon's one driver ring —
-        // admission touches no buffer registration (the arena was
-        // registered once at startup; see the regression test below).
-        // Without a hub (old kernel, or `RFTP_URING_SHARED=0`), each
-        // session spins up its own ring and registers its leased view:
-        // the ring-per-session baseline.
-        DaemonTransport::Uring => match hub {
-            Some(hub) => {
-                run_shared_uring_session(&cfg, streams, Some(first), &view, lease, hub, fair)
-            }
-            None => {
-                let session = UringSinkSession::from_streams(streams)?;
-                run_uring_session(&cfg, session, Some(first), &view, fair)
-            }
-        },
+        // The session joins the daemon's one driver ring — admission
+        // touches no buffer registration (the arena was registered once
+        // at startup; see the regression test below).
+        DaemonTransport::Uring => {
+            let hub = hub.expect("a uring daemon starts its shared driver before admitting");
+            run_shared_uring_session(&cfg, streams, Some(first), &view, lease, hub, fair)
+        }
     }
 }
 
@@ -1182,10 +1164,6 @@ mod tests {
             eprintln!("skipping: io_uring not supported by this kernel");
             return;
         }
-        if !shared_uring_enabled() {
-            eprintln!("skipping: RFTP_URING_SHARED=0 pins the baseline");
-            return;
-        }
         let cfg = DaemonConfig {
             transport: DaemonTransport::Uring,
             slot_cap: 64 * 1024,
@@ -1226,6 +1204,30 @@ mod tests {
             stats.registrations, 1,
             "admission must never re-register buffers: {stats:?}"
         );
+    }
+
+    /// A uring daemon whose shared driver cannot start fails `run` with
+    /// the driver's own error — here, an arena larger than the
+    /// fixed-buffer table — instead of admitting sessions it cannot
+    /// serve.
+    #[test]
+    fn uring_daemon_driver_failure_fails_run() {
+        if !crate::uring::uring_supported() {
+            eprintln!("skipping: io_uring not supported by this kernel");
+            return;
+        }
+        let cfg = DaemonConfig {
+            transport: DaemonTransport::Uring,
+            slot_cap: 4096,
+            arena_slots: 1100,
+            session_slots: 8,
+            ..DaemonConfig::default()
+        };
+        let d = Daemon::bind("127.0.0.1:0", cfg).unwrap();
+        let err = d
+            .run()
+            .expect_err("a driver that cannot start fails the daemon");
+        assert!(err.to_string().contains("fixed-buffer limit"), "{err}");
     }
 
     /// One daemon, two transports, one arena: an shm session (its own

@@ -133,9 +133,9 @@ pub struct LiveConfig {
     /// watermark, so it costs nothing when the pool itself is the bound.
     pub readahead: u32,
     /// io_uring sink only: provided-buffer-ring depth for multishot
-    /// receive. `0` (default) sizes it automatically (or from
-    /// `RFTP_URING_PBUF_COUNT`); tests pin it low to force buffer
-    /// exhaustion. Ignored by stream backends.
+    /// receive. `0` (default) means 32 buffers, the count the daemon's
+    /// shared driver always uses; tests pin it low to force buffer
+    /// exhaustion. Capped at 256. Ignored by stream backends.
     pub uring_pbuf: u32,
     /// Run the adaptive controller: estimate RTT/loss from the live ack
     /// stream (RFC 6298) and derive the coalescing dwell window, the

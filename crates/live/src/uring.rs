@@ -27,12 +27,12 @@
 //!   reassembles frames from the byte runs, copies payload to the
 //!   credited slot, recycles buffers by bumping the ring tail, re-arms
 //!   on `!F_MORE`, and parks/recovers links on `ENOBUFS` (un-starving
-//!   runs at every CQE-batch boundary). Older kernels — or
-//!   `RFTP_URING_MULTISHOT=0` — fall back to header-first re-armed
-//!   reads (16 bytes of `DataFrameHeader`, routed *before* the payload
-//!   read is committed `READ_FIXED` into the credited slot, or into a
-//!   scratch buffer for duplicates). Either way control frames are
-//!   read off the same ring and the ack/credit dwell is
+//!   runs at every CQE-batch boundary). Kernels whose probe fails
+//!   (pre-6.0) run header-first re-armed reads instead (16 bytes of
+//!   `DataFrameHeader`, routed *before* the payload read is committed
+//!   `READ_FIXED` into the credited slot, or into a scratch buffer for
+//!   duplicates). The probe alone picks the path. Either way control
+//!   frames are read off the same ring and the ack/credit dwell is
 //!   `IORING_ENTER_EXT_ARG` timed waits feeding the shared
 //!   [`drain_coalesced`] loop;
 //! * the daemon ([`crate::daemon`]) shares ONE ring and ONE driver
@@ -41,12 +41,11 @@
 //!   fixed-buffer indices (admission never re-registers), CQEs demux
 //!   by `user_data = sid << 32 | link`, and per-session mailboxes
 //!   carry events to session threads — cross-session completion
-//!   batching means one `GETEVENTS` drains arrivals for all sessions
-//!   (`RFTP_URING_SHARED=0` restores ring-per-session);
-//! * `IORING_SETUP_SQPOLL` and `IORING_OP_SEND_ZC` are probed at ring
-//!   setup and used only when supported *and* opted into
-//!   (`RFTP_URING_SQPOLL=1` / `RFTP_URING_ZC=1`), degrading cleanly to
-//!   plain submission and `WRITE_FIXED` otherwise.
+//!   batching means one `GETEVENTS` drains arrivals for all sessions.
+//!
+//! The module reads no environment variables: ring flags, the receive
+//! path and the provided-buffer count follow from the kernel probe and
+//! [`LiveConfig`] alone.
 //!
 //! Everything is raw syscalls (`io_uring_setup`/`enter`/`register` are
 //! 425/426/427 on every Linux architecture) over `extern "C"` shims —
@@ -61,9 +60,7 @@ pub use linux::{
     UringSinkSession,
 };
 #[cfg(target_os = "linux")]
-pub(crate) use linux::{
-    run_shared_uring_session, run_uring_session, spawn_shared_uring_driver, UringHub,
-};
+pub(crate) use linux::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -102,7 +99,6 @@ mod linux {
     const IORING_OFF_CQ_RING: i64 = 0x800_0000;
     const IORING_OFF_SQES: i64 = 0x1000_0000;
 
-    const IORING_SETUP_SQPOLL: u32 = 1 << 1;
     /// Don't interrupt the ring owner signal-style to run completion
     /// task-work; batch it onto the next kernel transition (5.19+).
     const IORING_SETUP_COOP_TASKRUN: u32 = 1 << 8;
@@ -112,7 +108,6 @@ mod linux {
     const IORING_SETUP_DEFER_TASKRUN: u32 = 1 << 13;
 
     const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
-    const IORING_ENTER_SQ_WAKEUP: u32 = 1 << 1;
     const IORING_ENTER_EXT_ARG: u32 = 1 << 3;
 
     const IORING_FEAT_SINGLE_MMAP: u32 = 1 << 0;
@@ -123,11 +118,8 @@ mod linux {
     /// Register a provided-buffer ring for a buffer group (5.19+).
     const IORING_REGISTER_PBUF_RING: u32 = 22;
 
-    const IORING_SQ_NEED_WAKEUP: u32 = 1 << 0;
-
-    /// The armed op stays armed (multishot) / a sibling CQE is owed.
+    /// The armed multishot op stays armed.
     const IORING_CQE_F_MORE: u32 = 1 << 1;
-    const IORING_CQE_F_NOTIF: u32 = 1 << 3;
     /// The CQE consumed a provided buffer; its id is in the high bits
     /// of `Cqe::flags`.
     const IORING_CQE_F_BUFFER: u32 = 1 << 0;
@@ -139,11 +131,7 @@ mod linux {
     const IORING_OP_READ: u8 = 22;
     const IORING_OP_WRITE: u8 = 23;
     const IORING_OP_RECV: u8 = 27;
-    const IORING_OP_SEND_ZC: u8 = 47;
 
-    /// `SEND_ZC` flag in `Sqe::ioprio`: the buffer is a registered one,
-    /// named by `buf_index`.
-    const IORING_RECVSEND_FIXED_BUF: u16 = 1 << 2;
     /// `RECV` flag in `Sqe::ioprio`: keep the receive armed across
     /// completions — one SQE, many CQEs (6.0+).
     const IORING_RECV_MULTISHOT: u16 = 1 << 1;
@@ -330,24 +318,21 @@ mod linux {
     struct Ring {
         fd: OwnedFd,
         features: u32,
-        setup_flags: u32,
         sq_entries: u32,
         sq_mask: u32,
         cq_mask: u32,
         sq_khead: *const AtomicU32,
         sq_ktail: *const AtomicU32,
-        sq_kflags: *const AtomicU32,
         sq_array: *mut u32,
         cq_khead: *const AtomicU32,
         cq_ktail: *const AtomicU32,
         cq_cqes: *const Cqe,
         sqes: *mut Sqe,
-        /// `io_uring_enter` calls made (diagnostics; see
-        /// `RFTP_URING_STATS`).
+        /// `io_uring_enter` calls made (reported in [`UringStats`]).
         enters: AtomicU64,
         /// `IORING_REGISTER_BUFFERS` calls on this ring.
         registers: AtomicU64,
-        /// CQEs reaped (diagnostics).
+        /// CQEs reaped (reported in [`UringStats`]).
         reaped: AtomicU64,
         // Held for Drop; the raw pointers above point into these.
         _sq_map: MmapRegion,
@@ -367,9 +352,6 @@ mod linux {
                 flags: setup_flags,
                 ..Default::default()
             };
-            if setup_flags & IORING_SETUP_SQPOLL != 0 {
-                p.sq_thread_idle = 50; // ms before the poller thread sleeps
-            }
             let r = unsafe {
                 sys::syscall(
                     SYS_IO_URING_SETUP as core::ffi::c_long,
@@ -407,13 +389,11 @@ mod linux {
             unsafe {
                 Ok(Ring {
                     features: p.features,
-                    setup_flags: p.flags,
                     sq_entries: p.sq_entries,
                     sq_mask: *(sq_map.at(p.sq_off.ring_mask) as *const u32),
                     cq_mask: *(cq_base.at(p.cq_off.ring_mask) as *const u32),
                     sq_khead: sq_map.at(p.sq_off.head) as *const AtomicU32,
                     sq_ktail: sq_map.at(p.sq_off.tail) as *const AtomicU32,
-                    sq_kflags: sq_map.at(p.sq_off.flags) as *const AtomicU32,
                     sq_array: sq_map.at(p.sq_off.array) as *mut u32,
                     cq_khead: cq_base.at(p.cq_off.head) as *const AtomicU32,
                     cq_ktail: cq_base.at(p.cq_off.tail) as *const AtomicU32,
@@ -495,17 +475,8 @@ mod linux {
             }
         }
 
-        /// Hand `queued` SQEs to the kernel. With `SQPOLL` the poller
-        /// thread picks them up on its own and this only rings the
-        /// wakeup doorbell when it has gone to sleep.
+        /// Hand `queued` SQEs to the kernel.
         fn submit(&self, queued: u32) -> io::Result<()> {
-            if self.setup_flags & IORING_SETUP_SQPOLL != 0 {
-                let flags = unsafe { (*self.sq_kflags).load(Ordering::Acquire) };
-                if flags & IORING_SQ_NEED_WAKEUP != 0 {
-                    self.enter(0, 0, IORING_ENTER_SQ_WAKEUP, std::ptr::null(), 0)?;
-                }
-                return Ok(());
-            }
             let mut left = queued;
             while left > 0 {
                 left -= self.enter(left, 0, 0, std::ptr::null(), 0)?;
@@ -565,11 +536,6 @@ mod linux {
         /// the two-syscall shape: a `-ETIME` return would leave the
         /// submitted count ambiguous.
         fn submit_and_wait(&self, queued: u32) -> io::Result<()> {
-            if self.setup_flags & IORING_SETUP_SQPOLL != 0 {
-                self.submit(queued)?;
-                self.wait(None)?;
-                return Ok(());
-            }
             let mut left = queued;
             loop {
                 let flags = if self.cq_ready() > 0 {
@@ -794,8 +760,6 @@ mod linux {
     /// What the running kernel offers beyond the baseline.
     #[derive(Clone, Copy, Debug)]
     struct UringCaps {
-        send_zc: bool,
-        sqpoll: bool,
         /// Multishot receive with a provided-buffer ring works end to
         /// end (functionally probed, not just opcode-probed — pbuf
         /// rings are 5.19+, multishot recv 6.0+).
@@ -821,10 +785,9 @@ mod linux {
             IORING_OP_WRITE_FIXED,
             IORING_OP_READ,
             IORING_OP_WRITE,
-            IORING_OP_SEND_ZC,
         ];
         let got = ring.probe_op_supported(&need)?;
-        if got[..5].iter().any(|ok| !ok) {
+        if got.iter().any(|ok| !ok) {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "kernel io_uring lacks fixed-buffer read/write opcodes",
@@ -834,10 +797,7 @@ mod linux {
         // can forbid it even when the opcodes exist).
         let probe_buf = Mutex::new(SlotBuf::new(4096));
         ring.register_pool(&[&probe_buf])?;
-        let sqpoll = Ring::new(8, IORING_SETUP_SQPOLL).is_ok();
         Ok(UringCaps {
-            send_zc: got[5],
-            sqpoll,
             multishot: multishot_probe(),
         })
     }
@@ -907,14 +867,6 @@ mod linux {
         run().unwrap_or(false)
     }
 
-    /// Whether the multishot path should actually be used: probed
-    /// healthy *and* not opted out (`RFTP_URING_MULTISHOT=0` forces the
-    /// header-first `READ_FIXED` fallback — CI uses it to prove the
-    /// ladder).
-    fn multishot_enabled(caps: &UringCaps) -> bool {
-        caps.multishot && std::env::var_os("RFTP_URING_MULTISHOT").is_none_or(|v| v != "0")
-    }
-
     /// Whether this kernel can run the io_uring backend: ring setup,
     /// `EXT_ARG` timed waits, fixed-buffer registration, and the
     /// fixed-buffer read/write opcodes all probe healthy.
@@ -922,28 +874,14 @@ mod linux {
         ring_caps().is_ok()
     }
 
-    /// Whether the sink would run the multishot-receive +
-    /// provided-buffer-ring path right now: the kernel probes healthy
-    /// for it *and* `RFTP_URING_MULTISHOT` has not opted out. `false`
-    /// while [`uring_supported`] is `true` means the header-first
-    /// `READ_FIXED` fallback carries transfers.
+    /// Whether the sink runs the multishot-receive + provided-buffer-ring
+    /// path on this kernel. `false` while [`uring_supported`] is `true`
+    /// means the header-first `READ_FIXED` fallback carries transfers.
     pub fn uring_multishot() -> bool {
-        ring_caps().map(|c| multishot_enabled(&c)).unwrap_or(false)
+        ring_caps().is_ok_and(|c| c.multishot)
     }
 
-    fn env_flag(name: &str) -> bool {
-        std::env::var_os(name).is_some_and(|v| v != "0")
-    }
-
-    fn env_u32(name: &str, default: u32) -> u32 {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Build a transfer ring, degrading `SQPOLL` (opt-in via
-    /// `RFTP_URING_SQPOLL=1`) back to plain submission if setup fails.
+    /// Build a transfer ring.
     ///
     /// `single_issuer` promises every `io_uring_enter` comes from the
     /// thread that created the ring; that unlocks `DEFER_TASKRUN`, which
@@ -951,12 +889,7 @@ mod linux {
     /// interrupting the driver mid-verify. The source ring submits from
     /// two threads (dispatcher + reaper), so it only gets `COOP_TASKRUN`.
     /// Each flag combination degrades to the next on older kernels.
-    fn transfer_ring(caps: &UringCaps, single_issuer: bool) -> io::Result<Ring> {
-        if caps.sqpoll && env_flag("RFTP_URING_SQPOLL") {
-            if let Ok(r) = Ring::new(RING_ENTRIES, IORING_SETUP_SQPOLL) {
-                return Ok(r);
-            }
-        }
+    fn transfer_ring(single_issuer: bool) -> io::Result<Ring> {
         if single_issuer {
             let flags = IORING_SETUP_SINGLE_ISSUER | IORING_SETUP_DEFER_TASKRUN;
             if let Ok(r) = Ring::new(RING_ENTRIES, flags) {
@@ -1015,9 +948,9 @@ mod linux {
     struct SrcRing {
         ring: Ring,
         sub: Mutex<SubState>,
-        /// CQEs submitted but not yet reaped (NOPs and `SEND_ZC`
-        /// notifications included) — the reaper exits only at zero, so
-        /// no kernel op can outlive the ring mappings.
+        /// CQEs submitted but not yet reaped (NOPs included) — the
+        /// reaper exits only at zero, so no kernel op can outlive the
+        /// ring mappings.
         inflight: AtomicI64,
         shutdown: AtomicBool,
         dead: AtomicBool,
@@ -1026,7 +959,6 @@ mod linux {
         /// [`Chan`]); the failure path shuts them down to flush
         /// in-flight ops out as errors.
         socks: Vec<TcpStream>,
-        use_zc: bool,
     }
 
     impl SrcRing {
@@ -1045,9 +977,6 @@ mod linux {
             {
                 let mut slot = self.err.lock();
                 if slot.is_none() {
-                    if env_flag("RFTP_URING_STATS") {
-                        eprintln!("uring source first error: {msg}");
-                    }
                     *slot = Some(msg);
                 }
             }
@@ -1079,10 +1008,6 @@ mod linux {
             };
             if op.buf_index == OWNED_BUF {
                 sqe.opcode = IORING_OP_WRITE;
-            } else if self.use_zc {
-                sqe.opcode = IORING_OP_SEND_ZC;
-                sqe.ioprio = IORING_RECVSEND_FIXED_BUF;
-                sqe.buf_index = op.buf_index;
             } else {
                 sqe.opcode = IORING_OP_WRITE_FIXED;
                 sqe.buf_index = op.buf_index;
@@ -1117,12 +1042,7 @@ mod linux {
             self.ring.reap(&mut cqes);
             for c in &cqes {
                 self.inflight.fetch_sub(1, Ordering::AcqRel);
-                if c.flags & IORING_CQE_F_MORE != 0 {
-                    // A zero-copy send's result CQE; its NOTIF sibling
-                    // is still owed.
-                    self.inflight.fetch_add(1, Ordering::AcqRel);
-                }
-                if c.user_data == UD_NOP || c.flags & IORING_CQE_F_NOTIF != 0 {
+                if c.user_data == UD_NOP {
                     continue;
                 }
                 let ch = c.user_data as usize;
@@ -1341,13 +1261,6 @@ mod linux {
             if let Some(h) = self.handle.take() {
                 let _ = h.join();
             }
-            if env_flag("RFTP_URING_STATS") {
-                eprintln!(
-                    "uring source: {} enters, {} cqes",
-                    self.shared.ring.enters.load(Ordering::Relaxed),
-                    self.shared.ring.reaped.load(Ordering::Relaxed),
-                );
-            }
         }
     }
 
@@ -1360,13 +1273,14 @@ mod linux {
         channels: usize,
         sockbuf: usize,
     ) -> io::Result<SourceTransport> {
-        let caps = ring_caps()?;
+        // Unsupported kernels fail here, before anything connects.
+        ring_caps()?;
         let SessionStreams {
             ctrl,
             data,
             token: _,
         } = connect_streams(addr, channels, sockbuf)?;
-        let ring = transfer_ring(&caps, false)?;
+        let ring = transfer_ring(false)?;
         assert!(channels as u32 + 2 <= RING_ENTRIES);
 
         let mut handles = vec![ctrl.try_clone()?];
@@ -1394,7 +1308,6 @@ mod linux {
             dead: AtomicBool::new(false),
             err: Mutex::new(None),
             socks: data,
-            use_zc: caps.send_zc && env_flag("RFTP_URING_ZC"),
         });
         let reaper = {
             let shared = shared.clone();
@@ -1448,8 +1361,8 @@ mod linux {
 
     /// Where one data link's framing state machine stands. Two modes:
     ///
-    /// * `Fx*` — the armed-read fallback (pre-6.0 kernels, or
-    ///   `RFTP_URING_MULTISHOT=0`): header-first, the 16-byte
+    /// * `Fx*` — the armed-read fallback (kernels whose multishot probe
+    ///   fails, i.e. pre-6.0): header-first, the 16-byte
     ///   [`DataFrameHeader`] is read and routed *before* the payload
     ///   read is committed, into either the credited slot's registered
     ///   buffer (`READ_FIXED` — the CQE is the placement) or a scratch
@@ -1562,8 +1475,8 @@ mod linux {
         detaching: bool,
         /// Sockets already shut down (error/detach path ran).
         cut: bool,
-        /// Fallback: payload reads armed right now, bounded by the
-        /// driver's `place_cap`.
+        /// Fallback: payload reads armed right now, bounded by
+        /// [`PLACE_CAP`].
         place_armed: u32,
         /// Fallback: links routed into `FxPlace` whose read is deferred
         /// until a slot under the cap frees up. Safe to defer: the
@@ -1643,6 +1556,11 @@ mod linux {
             }
         }
     }
+
+    /// Fallback: per-session cap on concurrently-armed payload reads —
+    /// one keeps each socket→slot copy adjacent to its verify instead of
+    /// a burst of sibling copies evicting the block first.
+    const PLACE_CAP: u32 = 1;
 
     /// `user_data` link field naming a session's control socket.
     const CTRL_LINK: u32 = u32::MAX;
@@ -1781,8 +1699,8 @@ mod linux {
     /// The sink's single data-path driver: one ring, one thread, every
     /// admitted session's links. Two harnesses share it:
     ///
-    /// * **pump mode** (standalone sink / per-session daemon baseline):
-    ///   one session, and [`MultiDriver::pump`] is the event source
+    /// * **pump mode** (the standalone sink, [`run_uring_sink`]): one
+    ///   session, and [`MultiDriver::pump`] is the event source
     ///   [`drain_coalesced`] drives the [`SinkHandler`] with — CQE
     ///   batches in, a batch of [`SinkEvt`]s out, dwell waits as
     ///   `EXT_ARG` ring timeouts;
@@ -1803,10 +1721,6 @@ mod linux {
         starved: VecDeque<(u32, usize)>,
         queued: u32,
         cqes: Vec<Cqe>,
-        /// Fallback: per-session cap on concurrently-armed payload
-        /// reads — keeps each socket→slot copy adjacent to its verify
-        /// (see the fallback arm path).
-        place_cap: u32,
         /// The place-clock floor: the last instant this thread returned
         /// from a ring wait or finished retiring a completion. A
         /// block's place time clocks from `max(armed, floor)`, so it
@@ -1830,7 +1744,6 @@ mod linux {
             slots: &'a [&'a Mutex<SlotBuf>],
             ms: bool,
             pbuf: Option<PbufRing>,
-            place_cap: u32,
         ) -> MultiDriver<'a> {
             MultiDriver {
                 ring,
@@ -1841,7 +1754,6 @@ mod linux {
                 starved: VecDeque::new(),
                 queued: 0,
                 cqes: Vec::with_capacity(64),
-                place_cap,
                 place_floor: Instant::now(),
                 multishot_rearms: 0,
                 pbuf_exhausted: 0,
@@ -1958,7 +1870,7 @@ mod linux {
         /// placement.
         fn arm_place(&mut self, sid: u32, i: usize) -> io::Result<()> {
             let sess = self.sessions.get_mut(&sid).unwrap();
-            if sess.place_armed < self.place_cap {
+            if sess.place_armed < PLACE_CAP {
                 sess.place_armed += 1;
                 if let RxState::FxPlace { ref mut t0, .. } = sess.links[i].state {
                     *t0 = Instant::now();
@@ -2004,9 +1916,6 @@ mod linux {
                 return;
             };
             if sess.err.is_none() {
-                if env_flag("RFTP_URING_STATS") {
-                    eprintln!("uring sink session {sid} first error: {e}");
-                }
                 sess.err = Some(e);
             }
             if !sess.cut {
@@ -2681,17 +2590,17 @@ mod linux {
         (DATA_FRAME_HEADER_LEN + PAYLOAD_HEADER_LEN + block_size + 4095) & !4095
     }
 
-    /// How many provided buffers to post: the config pin wins (tests
-    /// force exhaustion with 1), else `RFTP_URING_PBUF_COUNT`, else 32.
-    /// Clamped to 256 so a worst-case burst (every buffer completing at
-    /// once, plus re-arms) stays well inside the CQ (2×[`RING_ENTRIES`]).
-    fn pbuf_count(cfg: &LiveConfig) -> u32 {
-        let n = if cfg.uring_pbuf > 0 {
-            cfg.uring_pbuf
+    /// How many provided buffers to post: the [`LiveConfig::uring_pbuf`]
+    /// pin (tests force exhaustion with 1), or 32 when it is 0 — the
+    /// daemon's shared driver always passes 0. Clamped to 256 so a
+    /// worst-case burst (every buffer completing at once, plus re-arms)
+    /// stays well inside the CQ (2×[`RING_ENTRIES`]).
+    fn pbuf_count(uring_pbuf: u32) -> u32 {
+        if uring_pbuf > 0 {
+            uring_pbuf.min(256)
         } else {
-            env_u32("RFTP_URING_PBUF_COUNT", 32)
-        };
-        n.clamp(1, 256)
+            32
+        }
     }
 
     /// One accepted source connection set, ready for [`run_uring_sink`]
@@ -2699,17 +2608,6 @@ mod linux {
     pub struct UringSinkSession {
         streams: SessionStreams,
         caps: UringCaps,
-    }
-
-    impl UringSinkSession {
-        /// Wrap an already-assembled connection set (the daemon's
-        /// accept loop does its own stream assembly and first-frame
-        /// read). Fails with `Unsupported` when the kernel cannot run
-        /// the ring backend.
-        pub(crate) fn from_streams(streams: SessionStreams) -> io::Result<UringSinkSession> {
-            let caps = ring_caps()?;
-            Ok(UringSinkSession { streams, caps })
-        }
     }
 
     /// Accept one source's connection set for the io_uring sink and
@@ -2743,31 +2641,7 @@ mod linux {
         session: UringSinkSession,
         first_ctrl: Option<CtrlMsg>,
     ) -> io::Result<LiveReport> {
-        let snk_bufs: Vec<Mutex<SlotBuf>> = (0..cfg.pool_blocks)
-            .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
-            .collect();
-        let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-        run_uring_session(cfg, session, first_ctrl, &view, None)
-    }
-
-    /// The per-session uring sink runner the daemon schedules: one ring
-    /// per session over *borrowed* slot buffers (an arena lease, or the
-    /// standalone wrapper's own pool), with grants optionally under a
-    /// weighted-fair arbiter — the ring analogue of
-    /// [`crate::split::run_sink_session`].
-    pub(crate) fn run_uring_session(
-        cfg: &LiveConfig,
-        session: UringSinkSession,
-        first_ctrl: Option<CtrlMsg>,
-        snk_bufs: &[&Mutex<SlotBuf>],
-        fair: crate::split::FairShare<'_>,
-    ) -> io::Result<LiveReport> {
         assert!(cfg.channels >= 1 && cfg.total_bytes > 0);
-        assert_eq!(
-            snk_bufs.len(),
-            cfg.pool_blocks as usize,
-            "one buffer per pool block"
-        );
         let UringSinkSession { streams, caps } = session;
         let SessionStreams {
             ctrl,
@@ -2776,10 +2650,13 @@ mod linux {
         } = streams;
         assert_eq!(data.len(), cfg.channels, "one data link per channel");
         assert!(cfg.channels as u32 + 2 <= RING_ENTRIES);
+        let bufs: Vec<Mutex<SlotBuf>> = (0..cfg.pool_blocks)
+            .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
+            .collect();
+        let snk_bufs: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
         let total_blocks = cfg.total_blocks();
         let geo = PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks);
         let backend = Arc::new(SnkBackend::open(cfg)?);
-        let direct_io_active = backend.direct_active();
 
         let snk_pool = AtomicSinkPool::new(geo);
         let granter = Mutex::new(Granter::new(
@@ -2790,13 +2667,13 @@ mod linux {
         ));
         let placed = Arc::new(AtomicBitmap::new(total_blocks));
 
-        let ring = transfer_ring(&caps, true)?;
-        ring.register_pool(snk_bufs)?;
-        let ms = multishot_enabled(&caps);
+        let ring = transfer_ring(true)?;
+        ring.register_pool(&snk_bufs)?;
+        let ms = caps.multishot;
         let pbuf = if ms {
             Some(PbufRing::new(
                 &ring,
-                pbuf_count(cfg),
+                pbuf_count(cfg.uring_pbuf),
                 pbuf_len(cfg.block_size),
             )?)
         } else {
@@ -2822,17 +2699,11 @@ mod linux {
             &ctrl_tx,
             &snk_pool,
             &granter,
-            snk_bufs,
-            fair,
+            &snk_bufs,
+            None,
             ctl.as_ref(),
         );
-        let mut drv = MultiDriver::new(
-            &ring,
-            snk_bufs,
-            ms,
-            pbuf,
-            env_u32("RFTP_URING_PLACE_CAP", 1).max(1),
-        );
+        let mut drv = MultiDriver::new(&ring, &snk_bufs, ms, pbuf);
         // Pump mode: one session, identity lease (the pool *is* the
         // registered table), no mailbox — `pump` feeds the handler
         // directly on this thread.
@@ -2874,31 +2745,39 @@ mod linux {
         drv.quiesce();
         let ring_stats = drv.stats_snapshot();
         let sess = drv.sessions.remove(&0).unwrap();
-        let (place_ns, flush_ns, duplicates, place_hist) = (
-            sess.place_ns,
-            sess.flush_ns,
-            sess.duplicates,
-            sess.place_hist,
-        );
-        if env_flag("RFTP_URING_STATS") {
-            eprintln!(
-                "uring sink: {} enters, {} cqes, {} blocks, multishot={} rearms={} pbuf_exhausted={}",
-                ring_stats.enters,
-                ring_stats.cqes,
-                total_blocks,
-                ring_stats.multishot,
-                ring_stats.multishot_rearms,
-                ring_stats.pbuf_exhausted,
-            );
-        }
+        let stats = SessionStats {
+            place_ns: sess.place_ns,
+            flush_ns: sess.flush_ns,
+            duplicates: sess.duplicates,
+            place_hist: sess.place_hist,
+            err: None,
+            ring: ring_stats,
+        };
         drop(drv);
         drop(ring);
 
         if fail.is_set() {
             return Err(fail.into_err());
         }
+        finish_sink(cfg, &h, &snk_pool, &backend, start, stats, ctl.as_ref())
+    }
+
+    /// The tail both uring sinks share once their data path has
+    /// quiesced: sync a file sink, check the pool's accounting, and
+    /// assemble the report from the handler and the placement stats the
+    /// driver kept for the session.
+    fn finish_sink(
+        cfg: &LiveConfig,
+        h: &SinkHandler<'_>,
+        snk_pool: &AtomicSinkPool,
+        backend: &SnkBackend,
+        start: Instant,
+        stats: SessionStats,
+        ctl: Option<&Controller>,
+    ) -> io::Result<LiveReport> {
+        let total_blocks = cfg.total_blocks();
         let mut sync_ns = 0u64;
-        if let SnkBackend::File(sink) = &*backend {
+        if let SnkBackend::File(sink) = backend {
             let t0 = Instant::now();
             sink.sync()?;
             sync_ns = t0.elapsed().as_nanos() as u64;
@@ -2919,25 +2798,27 @@ mod linux {
             credit_requests: 0,
             dropped_payloads: 0,
             retransmits: 0,
-            duplicate_payloads: duplicates,
+            duplicate_payloads: stats.duplicates,
             stages: StageBreakdown {
-                place_ns: per_block(place_ns),
+                place_ns: per_block(stats.place_ns),
                 verify_ns: per_block(h.verify_ns),
-                flush_ns: per_block(flush_ns),
+                flush_ns: per_block(stats.flush_ns),
                 sync_ns: per_block(sync_ns),
                 ..Default::default()
             },
             tails: StageTails {
-                place: place_hist,
+                place: stats.place_hist,
                 verify: h.verify_hist.clone(),
                 ..Default::default()
             },
             // The whole data path — all N links, placement, control,
-            // and the dwell — is this one driver thread.
+            // and the dwell — is one driver thread: this one for a
+            // standalone sink, the daemon's shared driver for a daemon
+            // session (whose own thread only runs the protocol brain).
             transport_threads: 1,
-            direct_io_active,
-            uring: Some(ring_stats),
-            adapt: ctl.as_ref().map(Controller::snapshot),
+            direct_io_active: backend.direct_active(),
+            uring: Some(stats.ring),
+            adapt: ctl.map(Controller::snapshot),
         })
     }
 
@@ -3065,7 +2946,6 @@ mod linux {
     /// posts the provided-buffer ring, then loops adopting/detaching
     /// sessions and retiring completions until told to stop.
     fn driver_main(
-        caps: UringCaps,
         ms: bool,
         slots: &[Mutex<SlotBuf>],
         slot_cap: usize,
@@ -3075,11 +2955,10 @@ mod linux {
     ) -> UringStats {
         let view: Vec<&Mutex<SlotBuf>> = slots.iter().collect();
         let init = (|| -> io::Result<(Ring, Option<PbufRing>)> {
-            let ring = transfer_ring(&caps, true)?;
+            let ring = transfer_ring(true)?;
             ring.register_pool(&view)?;
             let pbuf = if ms {
-                let count = env_u32("RFTP_URING_PBUF_COUNT", 32).clamp(1, 256);
-                Some(PbufRing::new(&ring, count, pbuf_len(slot_cap))?)
+                Some(PbufRing::new(&ring, pbuf_count(0), pbuf_len(slot_cap))?)
             } else {
                 None
             };
@@ -3098,13 +2977,7 @@ mod linux {
                 };
             }
         };
-        let mut drv = MultiDriver::new(
-            &ring,
-            &view,
-            ms,
-            pbuf,
-            env_u32("RFTP_URING_PLACE_CAP", 1).max(1),
-        );
+        let mut drv = MultiDriver::new(&ring, &view, ms, pbuf);
         drv.wake = Some(WakeLink {
             stream: wake_r,
             buf: Box::new([0u8; 64]),
@@ -3141,18 +3014,7 @@ mod linux {
         // complete outstanding detach handshakes.
         drv.quiesce();
         drv.finalize_sessions();
-        let stats = drv.stats_snapshot();
-        if env_flag("RFTP_URING_STATS") {
-            eprintln!(
-                "uring daemon driver: {} enters, {} cqes, multishot={} rearms={} pbuf_exhausted={}",
-                stats.enters,
-                stats.cqes,
-                stats.multishot,
-                stats.multishot_rearms,
-                stats.pbuf_exhausted,
-            );
-        }
-        stats
+        drv.stats_snapshot()
     }
 
     /// Spawn the daemon's shared uring driver over the whole arena
@@ -3168,13 +3030,11 @@ mod linux {
         Arc<UringHub>,
         std::thread::ScopedJoinHandle<'scope, UringStats>,
     )> {
-        let caps = ring_caps()?;
-        let ms = multishot_enabled(&caps);
+        let ms = ring_caps()?.multishot;
         let (tx, rx) = std::sync::mpsc::channel::<HubMsg>();
         let (wake_w, wake_r) = UnixStream::pair()?;
         let (init_tx, init_rx) = std::sync::mpsc::sync_channel::<io::Result<()>>(1);
-        let handle =
-            scope.spawn(move || driver_main(caps, ms, slots, slot_cap, rx, wake_r, init_tx));
+        let handle = scope.spawn(move || driver_main(ms, slots, slot_cap, rx, wake_r, init_tx));
         match init_rx.recv() {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
@@ -3229,7 +3089,6 @@ mod linux {
         let total_blocks = cfg.total_blocks();
         let geo = PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks);
         let backend = Arc::new(SnkBackend::open(cfg)?);
-        let direct_io_active = backend.direct_active();
         let snk_pool = AtomicSinkPool::new(geo);
         let granter = Mutex::new(Granter::new(
             rftp_core::CreditMode::Proactive,
@@ -3312,63 +3171,13 @@ mod linux {
                 ..Default::default()
             },
         });
-        let SessionStats {
-            place_ns,
-            flush_ns,
-            duplicates,
-            place_hist,
-            err: drv_err,
-            ring: ring_stats,
-        } = stats;
         if let Err(e) = run {
             // The driver-side error is the root cause when both halves
             // failed (a closed mailbox surfaces here only as "pipeline
             // stopped").
-            return Err(drv_err.unwrap_or(e));
+            return Err(stats.err.unwrap_or(e));
         }
-
-        let mut sync_ns = 0u64;
-        if let SnkBackend::File(sink) = &*backend {
-            let t0 = Instant::now();
-            sink.sync()?;
-            sync_ns = t0.elapsed().as_nanos() as u64;
-        }
-        let elapsed = start.elapsed();
-        assert_eq!(h.delivered, total_blocks, "blocks lost in the pipeline");
-        snk_pool.check_invariants();
-        let per_block = |ns: u64| ns as f64 / total_blocks as f64;
-        Ok(LiveReport {
-            bytes: cfg.total_bytes,
-            blocks: total_blocks,
-            elapsed,
-            gbytes_per_sec: cfg.total_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-9),
-            checksum_failures: h.checksum_failures,
-            ooo_blocks: h.reorder.ooo_arrivals,
-            ctrl_msgs: h.ctrl_msgs,
-            ctrl_msgs_per_block: h.ctrl_msgs as f64 / total_blocks as f64,
-            credit_requests: 0,
-            dropped_payloads: 0,
-            retransmits: 0,
-            duplicate_payloads: duplicates,
-            stages: StageBreakdown {
-                place_ns: per_block(place_ns),
-                verify_ns: per_block(h.verify_ns),
-                flush_ns: per_block(flush_ns),
-                sync_ns: per_block(sync_ns),
-                ..Default::default()
-            },
-            tails: StageTails {
-                place: place_hist,
-                verify: h.verify_hist.clone(),
-                ..Default::default()
-            },
-            // The data path lives on the daemon's ONE shared driver
-            // thread; this session thread only runs the protocol brain.
-            transport_threads: 1,
-            direct_io_active,
-            uring: Some(ring_stats),
-            adapt: ctl.as_ref().map(Controller::snapshot),
-        })
+        finish_sink(cfg, &h, &snk_pool, &backend, start, stats, ctl.as_ref())
     }
 
     #[cfg(test)]
@@ -3400,7 +3209,7 @@ mod linux {
                 eprintln!("skipping: io_uring not supported by this kernel");
                 return;
             }
-            if !ring_caps().map(|c| multishot_enabled(&c)).unwrap_or(false) {
+            if !uring_multishot() {
                 eprintln!("skipping: multishot receive unavailable");
                 return;
             }
@@ -3430,6 +3239,43 @@ mod linux {
             assert!(
                 stats.multishot_rearms >= stats.pbuf_exhausted,
                 "every parked link re-arms: {stats:?}"
+            );
+        }
+
+        /// The header-first `READ_FIXED` fallback — the only receive
+        /// path on kernels whose multishot probe fails — run in process
+        /// on any io_uring kernel by clearing the probed capability on
+        /// the accepted session: four links under forced drops and
+        /// retransmits must still deliver byte-identical, exactly-once
+        /// output.
+        #[test]
+        fn header_first_fallback_under_drops() {
+            if !uring_supported() {
+                eprintln!("skipping: io_uring not supported by this kernel");
+                return;
+            }
+            let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
+            let listener = NetListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let sockbuf = crate::net::default_sockbuf(cfg.block_size, cfg.channel_depth);
+            let mut src_cfg = cfg.clone();
+            src_cfg.fault_drop_p = 0.2;
+            let src = std::thread::spawn(move || {
+                let t = connect_source_uring(addr, src_cfg.channels, sockbuf)?;
+                crate::split::run_split_source(&src_cfg, t)
+            });
+            let (mut sess, first) = accept_source_uring(&listener, sockbuf).unwrap();
+            sess.caps.multishot = false;
+            let snk = run_uring_sink(&cfg, sess, Some(first)).unwrap();
+            let src = src.join().unwrap().unwrap();
+            assert_eq!(snk.blocks, cfg.total_blocks());
+            assert_eq!(snk.bytes, cfg.total_bytes);
+            assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
+            assert!(src.retransmits > 0, "fault injector must have fired");
+            let stats = snk.uring.expect("uring report carries ring stats");
+            assert!(
+                !stats.multishot,
+                "the header-first path must run: {stats:?}"
             );
         }
 
@@ -3489,14 +3335,6 @@ mod stub {
     /// Placeholder session handle; never constructible off-Linux.
     pub struct UringSinkSession(());
 
-    impl UringSinkSession {
-        pub(crate) fn from_streams(
-            _streams: crate::net::SessionStreams,
-        ) -> io::Result<UringSinkSession> {
-            unsupported()
-        }
-    }
-
     pub fn uring_supported() -> bool {
         false
     }
@@ -3531,16 +3369,6 @@ mod stub {
         _cfg: &LiveConfig,
         _session: UringSinkSession,
         _first_ctrl: Option<CtrlMsg>,
-    ) -> io::Result<LiveReport> {
-        unsupported()
-    }
-
-    pub(crate) fn run_uring_session(
-        _cfg: &LiveConfig,
-        _session: UringSinkSession,
-        _first_ctrl: Option<CtrlMsg>,
-        _snk_bufs: &[&parking_lot::Mutex<crate::store::SlotBuf>],
-        _fair: crate::split::FairShare<'_>,
     ) -> io::Result<LiveReport> {
         unsupported()
     }
@@ -3585,6 +3413,4 @@ pub use stub::{
     UringSinkSession,
 };
 #[cfg(not(target_os = "linux"))]
-pub(crate) use stub::{
-    run_shared_uring_session, run_uring_session, spawn_shared_uring_driver, UringHub,
-};
+pub(crate) use stub::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
