@@ -18,7 +18,11 @@
 //! * **uring** (when the kernel supports it): a higher absolute floor,
 //!   ≤ 1 control frame per block, a lower mean place-stage latency than
 //!   the TCP run next to it, and a data path of O(1) threads per side
-//!   where TCP spends O(channels).
+//!   where TCP spends O(channels);
+//! * **shm** (when the host supports it): at least the TCP run's
+//!   throughput, ≤ 1 control frame per block, and a mean place stage at
+//!   most [`SHM_PLACE_RATIO`] of the TCP run's (a publication-word check
+//!   against a socket read into the slot).
 //!
 //! `--quick` runs a reduced sweep for CI smoke (no gate); `--gate-only`
 //! skips the sweep and runs just the gate head-to-head; `--out PATH`
@@ -43,12 +47,12 @@
 //!
 //! `--daemon --transport uring` runs the daemon ladder on the shared
 //! ring (ONE ring and ONE driver thread for every admitted session,
-//! multishot receive into provided buffers), with TCP for reference.
-//! Each scale point's JSON carries the ring counters (`enters`, `cqes`,
-//! CQEs/block, multishot re-arms, pbuf exhaustion, buffer
-//! registrations) plus the driver-thread count. The full run gates on
-//! the shared shape: one driver thread and exactly one buffer
-//! registration at 4 sessions, and fairness ≥ 0.9 everywhere.
+//! header-first `READ_FIXED` receive into the leased slots), with TCP
+//! for reference. Each scale point's JSON carries the ring counters
+//! (`enters`, `cqes`, CQEs/block, buffer registrations) plus the
+//! driver-thread count. The full run gates on the shared shape: one
+//! driver thread and exactly one buffer registration at 4 sessions,
+//! and fairness ≥ 0.9 everywhere.
 
 use rftp_bench::{bs_label, MB};
 use rftp_core::AdaptSnapshot;
@@ -77,8 +81,8 @@ const URING_GATE_FLOOR_GBPS: f64 = 2.2;
 
 /// The shm gate's place-latency bound: placement on the zero-copy shm
 /// path is a publication-word check, not a copy, so its mean place
-/// stage must land at or under this fraction of the uring multishot
-/// run's (whose placement is one memcpy out of the provided buffer).
+/// stage must land at or under this fraction of the TCP run's at the
+/// same point (whose placement is a socket read into the slot).
 const SHM_PLACE_RATIO: f64 = 0.1;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -188,8 +192,8 @@ struct Entry {
 
 /// The ring counters of a [`UringStats`] as a JSON object (`null` when the
 /// run had no ring). `blocks` normalizes the per-block rates the gates
-/// read: CQEs/block is the kernel-crossing cost the multishot receive
-/// path collapses.
+/// read: CQEs/block is the per-block kernel-crossing cost (about two on
+/// the header-first receive path: header read, payload read).
 fn uring_json(stats: Option<&UringStats>, blocks: u64) -> String {
     match stats {
         None => "null".to_string(),
@@ -197,16 +201,12 @@ fn uring_json(stats: Option<&UringStats>, blocks: u64) -> String {
             concat!(
                 "{{\"enters\": {}, \"cqes\": {}, ",
                 "\"enters_per_block\": {:.4}, \"cqes_per_block\": {:.4}, ",
-                "\"multishot\": {}, \"multishot_rearms\": {}, ",
-                "\"pbuf_exhausted\": {}, \"registrations\": {}}}"
+                "\"registrations\": {}}}"
             ),
             s.enters,
             s.cqes,
             s.enters as f64 / blocks.max(1) as f64,
             s.cqes as f64 / blocks.max(1) as f64,
-            s.multishot,
-            s.multishot_rearms,
-            s.pbuf_exhausted,
             s.registrations,
         ),
     }
@@ -959,6 +959,7 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
     // on ONE driver thread, registration exactly once, and per-session
     // fairness >= 0.9.
     let mut shape_ok = true;
+    let mut shape_json = "null".to_string();
     if backend == Backend::Uring && !quick {
         let last = points.last().expect("scale points");
         let stats = last.uring.as_ref().expect("shared driver stats");
@@ -973,6 +974,11 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
             stats.registrations,
             min_fair,
             if shape_ok { "ok" } else { "FAIL" }
+        );
+        shape_json = format!(
+            "{{\"driver_threads\": {}, \"registrations\": {}, \"min_fairness\": {:.4}, \
+             \"fairness_bound\": 0.9, \"pass\": {}}}",
+            last.driver_threads, stats.registrations, min_fair, shape_ok
         );
     }
 
@@ -1000,7 +1006,8 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
          \"quick\": {},\n  \"wire\": \"loopback\",\n  \
          \"per_session_bytes\": {},\n  \"arena_slots\": {},\n  \
          \"session_slots\": {},\n  \"credit_budget\": {},\n  \
-         \"scaling\": [\n{}\n  ]{},\n  \"fairness_gate\": {}\n}}\n",
+         \"scaling\": [\n{}\n  ]{},\n  \"fairness_gate\": {},\n  \
+         \"shared_ring_gate\": {}\n}}\n",
         backend.label(),
         quick,
         per_session,
@@ -1010,6 +1017,7 @@ fn run_daemon_bench(backend: Backend, quick: bool, out_path: &str) {
         ladder_json(&points),
         extra,
         gate_json,
+        shape_json,
     );
     std::fs::write(out_path, json).expect("write daemon bench JSON");
     println!("\nwrote {out_path}");
@@ -1171,36 +1179,25 @@ fn main() {
         );
         gate_ok = tcp_pass;
 
-        let mut ur_place: Option<f64> = None;
-        let mut ur_multishot = false;
         if uring {
             let ur_best = best_of(3, Backend::Uring, gate_block, 8, total, sockbuf);
             assert_eq!(ur_best.checksum_failures, 0);
             let faster_place = ur_best.stages.place_ns < tcp_best.stages.place_ns;
-            // With multishot receive live, one saturated completion
-            // covers one whole block: the ring must average at most 1.1
-            // CQEs per block at the gate point. The READ_FIXED fallback
-            // (~2/blk: header read + body read) is exempt — it is the
-            // compatibility ladder, not the fast path.
-            let stats = ur_best.uring;
-            let cqes_per_block = stats
-                .map(|s| s.cqes as f64 / ur_best.blocks.max(1) as f64)
-                .unwrap_or(f64::MAX);
-            let cqe_ok = !stats.is_some_and(|s| s.multishot) || cqes_per_block <= 1.1;
+            let cqes_per_block = ur_best
+                .uring
+                .map_or(f64::NAN, |s| s.cqes as f64 / ur_best.blocks.max(1) as f64);
             let ur_pass = ur_best.gbytes_per_sec >= URING_GATE_FLOOR_GBPS
                 && ur_best.ctrl_msgs_per_block <= 1.0
-                && faster_place
-                && cqe_ok;
+                && faster_place;
             println!(
                 "  gate {:>5} x8 uring (best of 3): {:.3} GB/s vs floor {:.1}, {:.2} ctrl/blk, \
-                 {:.3} CQEs/blk (multishot: {}, bound 1.1), \
-                 place {:.0} vs tcp {:.0} ns/blk, {} vs {} data-path threads  [{}]",
+                 {:.3} CQEs/blk, place {:.0} vs tcp {:.0} ns/blk, \
+                 {} vs {} data-path threads  [{}]",
                 bs_label(gate_block),
                 ur_best.gbytes_per_sec,
                 URING_GATE_FLOOR_GBPS,
                 ur_best.ctrl_msgs_per_block,
                 cqes_per_block,
-                stats.is_some_and(|s| s.multishot),
                 ur_best.stages.place_ns,
                 tcp_best.stages.place_ns,
                 ur_best.transport_threads,
@@ -1208,8 +1205,6 @@ fn main() {
                 if ur_pass { "ok" } else { "FAIL" }
             );
             gate_ok = gate_ok && ur_pass;
-            ur_place = Some(ur_best.stages.place_ns);
-            ur_multishot = stats.is_some_and(|s| s.multishot);
             entries.push(Entry {
                 backend: Backend::Uring,
                 block: gate_block,
@@ -1222,28 +1217,25 @@ fn main() {
 
         // The shm gate: zero receiver copies must beat the copying TCP
         // path outright on aggregate throughput, keep the 1-control-
-        // frame-per-block discipline, and — when the multishot uring
-        // run is here to compare against — place in at most a tenth of
-        // its per-block place stage (a word check vs a block memcpy).
+        // frame-per-block discipline, and place in at most a tenth of
+        // the TCP run's per-block place stage (a word check vs a socket
+        // read into the slot).
         if shm {
             let shm_best = best_of(3, Backend::Shm, gate_block, 8, total, 0);
             assert_eq!(shm_best.checksum_failures, 0);
             let vs_tcp = shm_best.gbytes_per_sec >= tcp_best.gbytes_per_sec;
-            let place_ok = match (ur_multishot, ur_place) {
-                (true, Some(up)) => shm_best.stages.place_ns <= up * SHM_PLACE_RATIO,
-                _ => true, // no multishot reference on this kernel
-            };
+            let place_ok = shm_best.stages.place_ns <= tcp_best.stages.place_ns * SHM_PLACE_RATIO;
             let shm_pass = vs_tcp && shm_best.ctrl_msgs_per_block <= 1.0 && place_ok;
             println!(
                 "  gate {:>5} x8 shm   (best of 3): {:.3} GB/s vs tcp {:.3}, \
-                 {:.2} ctrl/blk, place {:.0} ns/blk vs uring {} \
+                 {:.2} ctrl/blk, place {:.0} ns/blk vs tcp {:.0} \
                  (bound {SHM_PLACE_RATIO}x)  [{}]",
                 bs_label(gate_block),
                 shm_best.gbytes_per_sec,
                 tcp_best.gbytes_per_sec,
                 shm_best.ctrl_msgs_per_block,
                 shm_best.stages.place_ns,
-                ur_place.map_or("n/a".to_string(), |p| format!("{p:.0}")),
+                tcp_best.stages.place_ns,
                 if shm_pass { "ok" } else { "FAIL" }
             );
             gate_ok = gate_ok && shm_pass;

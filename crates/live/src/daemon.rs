@@ -428,7 +428,7 @@ impl Daemon {
             // (kernel without io_uring, registration refused) fails the
             // daemon with its own error before anything is admitted.
             let shared = if d.cfg.transport == DaemonTransport::Uring {
-                Some(spawn_shared_uring_driver(scope, &d.slots, d.cfg.slot_cap)?)
+                Some(spawn_shared_uring_driver(scope, &d.slots)?)
             } else {
                 None
             };

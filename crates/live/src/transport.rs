@@ -108,17 +108,13 @@ pub trait DataRx: Send {
 pub struct UringStats {
     /// `io_uring_enter` calls on the sink/source ring.
     pub enters: u64,
-    /// CQEs reaped. CQEs-per-block is the per-block kernel cost the
-    /// multishot receive path collapses (~2 → ~1).
+    /// CQEs reaped. The header-first receive path costs about two per
+    /// block: one for the frame header read, one for the payload
+    /// `READ_FIXED`.
     pub cqes: u64,
-    /// Whether the multishot + provided-buffer-ring receive path was
-    /// active (false = the header-first `READ_FIXED` fallback ran).
-    pub multishot: bool,
-    /// Times a multishot receive terminated (`IORING_CQE_F_MORE`
-    /// cleared, `ECANCELED`, buffer exhaustion) and was re-armed.
-    pub multishot_rearms: u64,
-    /// `ENOBUFS` completions: the provided-buffer ring ran dry and a
-    /// link parked until a buffer was recycled.
+    /// Always 0: the backend posts no provided-buffer ring, so nothing
+    /// can run dry. Kept so reports and benchmarks that read the field
+    /// stay source-compatible.
     pub pbuf_exhausted: u64,
     /// `IORING_REGISTER_BUFFERS` calls on this ring. A daemon's shared
     /// ring registers the whole arena exactly once at startup; this

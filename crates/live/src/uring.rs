@@ -19,22 +19,16 @@
 //!   single contiguous SQE) and submits the whole dispatcher drain with
 //!   one `io_uring_enter` — the doorbell ([`DataTx::kick`]); one reaper
 //!   thread retires completions for every channel;
-//! * the sink runs a **single driver thread** for all data links. On
-//!   kernels with `IORING_RECV_MULTISHOT` + provided-buffer rings
-//!   (probed live via a socketpair round-trip, [`multishot_probe`])
-//!   each data socket is armed once and the kernel keeps posting CQEs,
-//!   picking buffers from a registered pbuf ring; the driver
-//!   reassembles frames from the byte runs, copies payload to the
-//!   credited slot, recycles buffers by bumping the ring tail, re-arms
-//!   on `!F_MORE`, and parks/recovers links on `ENOBUFS` (un-starving
-//!   runs at every CQE-batch boundary). Kernels whose probe fails
-//!   (pre-6.0) run header-first re-armed reads instead (16 bytes of
-//!   `DataFrameHeader`, routed *before* the payload read is committed
-//!   `READ_FIXED` into the credited slot, or into a scratch buffer for
-//!   duplicates). The probe alone picks the path. Either way control
-//!   frames are read off the same ring and the ack/credit dwell is
-//!   `IORING_ENTER_EXT_ARG` timed waits feeding the shared
-//!   [`drain_coalesced`] loop;
+//! * the sink runs a **single driver thread** for all data links, on
+//!   one receive path: header-first re-armed reads. The 16-byte
+//!   `DataFrameHeader` is read and routed *before* the payload read is
+//!   committed — `READ_FIXED` straight into the credited slot's
+//!   registered buffer (the kernel writes the payload where the
+//!   protocol placed it; no user-space copy), or into a scratch buffer
+//!   for duplicates. At most [`PLACE_CAP`] payload reads are armed at
+//!   once per session. Control frames are read off the same
+//!   ring and the ack/credit dwell is `IORING_ENTER_EXT_ARG` timed
+//!   waits feeding the shared [`drain_coalesced`] loop;
 //! * the daemon ([`crate::daemon`]) shares ONE ring and ONE driver
 //!   thread ([`MultiDriver`]) across every admitted session: the whole
 //!   slot arena is registered once at startup, leases map to
@@ -43,9 +37,9 @@
 //!   carry events to session threads — cross-session completion
 //!   batching means one `GETEVENTS` drains arrivals for all sessions.
 //!
-//! The module reads no environment variables: ring flags, the receive
-//! path and the provided-buffer count follow from the kernel probe and
-//! [`LiveConfig`] alone.
+//! The module reads no environment variables and has no tuning knobs:
+//! ring flags follow from the kernel, everything else from
+//! [`LiveConfig`].
 //!
 //! Everything is raw syscalls (`io_uring_setup`/`enter`/`register` are
 //! 425/426/427 on every Linux architecture) over `extern "C"` shims —
@@ -56,8 +50,7 @@
 
 #[cfg(target_os = "linux")]
 pub use linux::{
-    accept_source_uring, connect_source_uring, run_uring_sink, uring_multishot, uring_supported,
-    UringSinkSession,
+    accept_source_uring, connect_source_uring, run_uring_sink, uring_supported, UringSinkSession,
 };
 #[cfg(target_os = "linux")]
 pub(crate) use linux::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
@@ -83,7 +76,7 @@ mod linux {
     use std::net::{Shutdown, TcpStream, ToSocketAddrs};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
     use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU16, AtomicU32, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -115,34 +108,14 @@ mod linux {
 
     const IORING_REGISTER_BUFFERS: u32 = 0;
     const IORING_REGISTER_PROBE: u32 = 8;
-    /// Register a provided-buffer ring for a buffer group (5.19+).
-    const IORING_REGISTER_PBUF_RING: u32 = 22;
-
-    /// The armed multishot op stays armed.
-    const IORING_CQE_F_MORE: u32 = 1 << 1;
-    /// The CQE consumed a provided buffer; its id is in the high bits
-    /// of `Cqe::flags`.
-    const IORING_CQE_F_BUFFER: u32 = 1 << 0;
-    const IORING_CQE_BUFFER_SHIFT: u32 = 16;
 
     const IORING_OP_NOP: u8 = 0;
     const IORING_OP_READ_FIXED: u8 = 4;
     const IORING_OP_WRITE_FIXED: u8 = 5;
     const IORING_OP_READ: u8 = 22;
     const IORING_OP_WRITE: u8 = 23;
-    const IORING_OP_RECV: u8 = 27;
-
-    /// `RECV` flag in `Sqe::ioprio`: keep the receive armed across
-    /// completions — one SQE, many CQEs (6.0+).
-    const IORING_RECV_MULTISHOT: u16 = 1 << 1;
-    /// `Sqe::flags`: the kernel picks the receive buffer from the
-    /// provided-buffer group named by `Sqe::buf_index`.
-    const IOSQE_BUFFER_SELECT: u8 = 1 << 5;
 
     const ETIME: i32 = 62;
-    /// The provided-buffer group ran dry: the multishot receive
-    /// terminates and must be re-armed once buffers are recycled.
-    const ENOBUFS: i32 = 105;
     /// The kernel can drop a poll-armed socket op with `-ECANCELED`
     /// without transferring any bytes (poll races on busy streams).
     /// Such ops are resubmitted verbatim, not treated as link failure.
@@ -623,155 +596,17 @@ mod linux {
     }
 
     // -----------------------------------------------------------------
-    // Provided-buffer ring (multishot receive backing)
-    // -----------------------------------------------------------------
-
-    /// One entry of a provided-buffer ring (`struct io_uring_buf`).
-    #[repr(C)]
-    #[derive(Clone, Copy, Default)]
-    struct PbufEntry {
-        addr: u64,
-        len: u32,
-        bid: u16,
-        resv: u16,
-    }
-
-    /// `IORING_REGISTER_PBUF_RING` argument (`struct io_uring_buf_reg`).
-    #[repr(C)]
-    #[derive(Clone, Copy, Default)]
-    struct PbufReg {
-        ring_addr: u64,
-        ring_entries: u32,
-        bgid: u16,
-        flags: u16,
-        resv: [u64; 3],
-    }
-
-    /// The one buffer group every data link shares. Demultiplexing is by
-    /// `user_data` (session/link), not by group — the group only says
-    /// where the bytes landed.
-    const PBUF_BGID: u16 = 0;
-    /// Byte offset of the kernel-read tail inside the pbuf ring: it
-    /// overlays `resv` of entry 0 (the uapi union of `io_uring_buf` and
-    /// `io_uring_buf_ring`).
-    const PBUF_TAIL_OFF: usize = 14;
-
-    /// A provided-buffer ring plus the buffers behind it: the kernel
-    /// picks one per multishot-receive completion and reports its id in
-    /// the CQE; the driver parses the bytes out and recycles the id.
-    ///
-    /// The descriptor ring is written only at the local tail (each
-    /// buffer is in the ring at most once, so the kernel can never own
-    /// the entry being overwritten), and only `addr`/`len`/`bid` are
-    /// touched — entry 0's `resv` bytes *are* the shared tail word, so a
-    /// full-entry write there would clobber it.
-    ///
-    /// Teardown: the owner must quiesce the ring (no in-flight receives)
-    /// before dropping this, exactly like the slot buffers — the
-    /// backing memory is plain userspace allocations.
-    struct PbufRing {
-        ring: *mut u8,
-        layout: std::alloc::Layout,
-        mask: u32,
-        tail: u16,
-        bufs: Vec<Box<[u8]>>,
-    }
-
-    // SAFETY: single-owner (the sink driver thread); the raw pointer is
-    // an owned allocation, shared with the kernel only via io_uring.
-    unsafe impl Send for PbufRing {}
-
-    impl PbufRing {
-        /// Allocate `count` buffers of `buf_len` bytes, register the
-        /// descriptor ring with `ring`, and hand every buffer to the
-        /// kernel. Fails on pre-5.19 kernels (`EINVAL`), which is how
-        /// the multishot probe detects them.
-        fn new(ring: &Ring, count: u32, buf_len: usize) -> io::Result<PbufRing> {
-            let entries = count.max(1).next_power_of_two();
-            let layout = std::alloc::Layout::from_size_align(
-                entries as usize * std::mem::size_of::<PbufEntry>(),
-                4096,
-            )
-            .map_err(|_| perr("pbuf ring layout overflow"))?;
-            let mem = unsafe { std::alloc::alloc_zeroed(layout) };
-            if mem.is_null() {
-                return Err(io::Error::new(
-                    io::ErrorKind::OutOfMemory,
-                    "pbuf ring allocation failed",
-                ));
-            }
-            let reg = PbufReg {
-                ring_addr: mem as u64,
-                ring_entries: entries,
-                bgid: PBUF_BGID,
-                ..Default::default()
-            };
-            if let Err(e) = ring.register(
-                IORING_REGISTER_PBUF_RING,
-                &reg as *const PbufReg as *const core::ffi::c_void,
-                1,
-            ) {
-                unsafe { std::alloc::dealloc(mem, layout) };
-                return Err(e);
-            }
-            let mut p = PbufRing {
-                ring: mem,
-                layout,
-                mask: entries - 1,
-                tail: 0,
-                bufs: Vec::with_capacity(count as usize),
-            };
-            for bid in 0..count {
-                p.bufs.push(vec![0u8; buf_len].into_boxed_slice());
-                p.recycle(bid as u16);
-            }
-            Ok(p)
-        }
-
-        /// Hand buffer `bid` (back) to the kernel.
-        fn recycle(&mut self, bid: u16) {
-            let idx = (self.tail as u32 & self.mask) as usize;
-            unsafe {
-                let e = (self.ring as *mut PbufEntry).add(idx);
-                std::ptr::addr_of_mut!((*e).addr).write(self.bufs[bid as usize].as_ptr() as u64);
-                std::ptr::addr_of_mut!((*e).len).write(self.bufs[bid as usize].len() as u32);
-                std::ptr::addr_of_mut!((*e).bid).write(bid);
-                self.tail = self.tail.wrapping_add(1);
-                (*(self.ring.add(PBUF_TAIL_OFF) as *const AtomicU16))
-                    .store(self.tail, Ordering::Release);
-            }
-        }
-
-        fn buf(&self, bid: u16) -> &[u8] {
-            &self.bufs[bid as usize]
-        }
-    }
-
-    impl Drop for PbufRing {
-        fn drop(&mut self) {
-            unsafe { std::alloc::dealloc(self.ring, self.layout) };
-        }
-    }
-
-    // -----------------------------------------------------------------
     // Capability probe
     // -----------------------------------------------------------------
-
-    /// What the running kernel offers beyond the baseline.
-    #[derive(Clone, Copy, Debug)]
-    struct UringCaps {
-        /// Multishot receive with a provided-buffer ring works end to
-        /// end (functionally probed, not just opcode-probed — pbuf
-        /// rings are 5.19+, multishot recv 6.0+).
-        multishot: bool,
-    }
 
     /// SQ depth for transfer rings: far above the in-flight ceiling of
     /// either side (one write per channel at the source, one read per
     /// link at the sink), so the only submit path is the batched kick.
     const RING_ENTRIES: u32 = 256;
 
-    fn ring_caps() -> io::Result<UringCaps> {
+    /// Probe the running kernel: ring setup, `EXT_ARG` timed waits, the
+    /// fixed-buffer opcodes, and a real fixed-buffer registration.
+    fn ring_caps() -> io::Result<()> {
         let ring = Ring::new(8, 0)?; // ENOSYS / EPERM land here
         if ring.features & IORING_FEAT_EXT_ARG == 0 {
             return Err(io::Error::new(
@@ -796,75 +631,7 @@ mod linux {
         // Fixed-buffer registration must actually work (memlock limits
         // can forbid it even when the opcodes exist).
         let probe_buf = Mutex::new(SlotBuf::new(4096));
-        ring.register_pool(&[&probe_buf])?;
-        Ok(UringCaps {
-            multishot: multishot_probe(),
-        })
-    }
-
-    /// Functional probe for multishot receive over a provided-buffer
-    /// ring: registering a pbuf ring and arming `RECV|MULTISHOT` can
-    /// each *appear* to work on kernels that reject the combination at
-    /// completion time, so real bytes go through a socketpair and the
-    /// CQE must come back buffer-tagged. Any failure is just `false` —
-    /// the fallback ladder (header-first `READ_FIXED`) takes over.
-    fn multishot_probe() -> bool {
-        fn run() -> io::Result<bool> {
-            let ring = Ring::new(8, 0)?;
-            if !ring.probe_op_supported(&[IORING_OP_RECV])?[0] {
-                return Ok(false);
-            }
-            let mut pbuf = PbufRing::new(&ring, 2, 4096)?;
-            let (a, b) = std::os::unix::net::UnixStream::pair()?;
-            let sqe = Sqe {
-                opcode: IORING_OP_RECV,
-                flags: IOSQE_BUFFER_SELECT,
-                ioprio: IORING_RECV_MULTISHOT,
-                fd: a.as_raw_fd(),
-                buf_index: PBUF_BGID,
-                user_data: 1,
-                ..Default::default()
-            };
-            if !ring.sq_push(&sqe) {
-                return Ok(false);
-            }
-            ring.submit(1)?;
-            use std::io::Write;
-            (&b).write_all(b"ping")?;
-            let mut ok = false;
-            let mut shut = false;
-            let mut cqes = Vec::new();
-            // Wait for the data CQE *first* — cutting the pair before the
-            // armed receive fires discards the queued ping on AF_UNIX and
-            // fails the probe on kernels that support multishot fine.
-            // Only then shut the pair down and drain to the terminal CQE
-            // so no op outlives the ring mappings.
-            for _ in 0..16 {
-                let fired = ring.wait(Some(Duration::from_millis(250)))?;
-                cqes.clear();
-                ring.reap(&mut cqes);
-                let mut terminal = false;
-                for c in &cqes {
-                    if c.res == 4 && c.flags & IORING_CQE_F_BUFFER != 0 {
-                        ok = true;
-                        pbuf.recycle((c.flags >> IORING_CQE_BUFFER_SHIFT) as u16);
-                    }
-                    if c.flags & IORING_CQE_F_MORE == 0 {
-                        terminal = true;
-                    }
-                }
-                if terminal {
-                    break;
-                }
-                if (ok || !fired) && !shut {
-                    shut = true;
-                    let _ = a.shutdown(Shutdown::Both);
-                    let _ = b.shutdown(Shutdown::Both);
-                }
-            }
-            Ok(ok)
-        }
-        run().unwrap_or(false)
+        ring.register_pool(&[&probe_buf])
     }
 
     /// Whether this kernel can run the io_uring backend: ring setup,
@@ -872,13 +639,6 @@ mod linux {
     /// fixed-buffer read/write opcodes all probe healthy.
     pub fn uring_supported() -> bool {
         ring_caps().is_ok()
-    }
-
-    /// Whether the sink runs the multishot-receive + provided-buffer-ring
-    /// path on this kernel. `false` while [`uring_supported`] is `true`
-    /// means the header-first `READ_FIXED` fallback carries transfers.
-    pub fn uring_multishot() -> bool {
-        ring_caps().is_ok_and(|c| c.multishot)
     }
 
     /// Build a transfer ring.
@@ -1359,20 +1119,12 @@ mod linux {
     // Sink half
     // -----------------------------------------------------------------
 
-    /// Where one data link's framing state machine stands. Two modes:
-    ///
-    /// * `Fx*` — the armed-read fallback (kernels whose multishot probe
-    ///   fails, i.e. pre-6.0): header-first, the 16-byte
-    ///   [`DataFrameHeader`] is read and routed *before* the payload
-    ///   read is committed, into either the credited slot's registered
-    ///   buffer (`READ_FIXED` — the CQE is the placement) or a scratch
-    ///   buffer (duplicate arrival).
-    /// * `Ms*` — multishot receive: one armed `RECV|MULTISHOT` per
-    ///   socket, the kernel picks a provided buffer per completion, and
-    ///   the driver parses the wire stream out of the buffers — headers
-    ///   accumulate in the link's stash, payload bytes are copied into
-    ///   the credited slot. Copy-routing costs a memcpy per block; the
-    ///   CQE/syscall batching multishot buys is the trade.
+    /// Where one data link's header-first framing state machine stands:
+    /// the 16-byte [`DataFrameHeader`] is read (`FxHeader`) and routed
+    /// *before* the payload read is committed, into either the credited
+    /// slot's registered buffer (`FxPlace`, a `READ_FIXED` — the CQE is
+    /// the placement) or a scratch buffer (`FxDiscard`, a duplicate
+    /// arrival).
     #[derive(Clone, Copy)]
     enum RxState {
         FxHeader {
@@ -1388,31 +1140,16 @@ mod linux {
             wire_len: usize,
             got: usize,
         },
-        MsHeader {
-            got: usize,
-        },
-        MsBody {
-            hdr: DataFrameHeader,
-            got: usize,
-            t0: Instant,
-        },
-        MsDiscard {
-            remaining: usize,
-        },
         Eof,
     }
 
     struct Link {
         fd: i32,
         state: RxState,
-        /// Boxed so its address is stable while a kernel read targets
-        /// it (fallback header reads; the multishot parser uses it as
-        /// its partial-header stash).
+        /// Boxed so its address is stable while a kernel header read
+        /// targets it.
         hdr_buf: Box<[u8; DATA_FRAME_HEADER_LEN]>,
         scratch: Vec<u8>,
-        /// Multishot only: the receive terminated on `ENOBUFS` and the
-        /// link is parked until a provided buffer is recycled.
-        parked: bool,
     }
 
     struct CtrlLink {
@@ -1465,9 +1202,7 @@ mod linux {
         /// Daemon mode: where the detach handshake delivers
         /// [`SessionStats`].
         stats_tx: Option<std::sync::mpsc::SyncSender<SessionStats>>,
-        /// Kernel ops currently in flight for this session (an armed
-        /// multishot receive counts once: only its terminal CQE — no
-        /// `F_MORE` — decrements).
+        /// Kernel ops currently in flight for this session.
         inflight: u32,
         err: Option<io::Error>,
         /// Detach requested: stop re-arming, drain to `inflight == 0`,
@@ -1475,14 +1210,14 @@ mod linux {
         detaching: bool,
         /// Sockets already shut down (error/detach path ran).
         cut: bool,
-        /// Fallback: payload reads armed right now, bounded by
+        /// Payload (`FxPlace`) reads armed right now, bounded by
         /// [`PLACE_CAP`].
         place_armed: u32,
-        /// Fallback: links routed into `FxPlace` whose read is deferred
-        /// until a slot under the cap frees up. Safe to defer: the
-        /// header is already read, and the source wrote header +
-        /// payload as one contiguous write, so the payload is on the
-        /// wire (or in the socket buffer) no matter when the read arms.
+        /// Links routed into `FxPlace` whose read is deferred until a
+        /// slot under the cap frees up. Safe to defer: the header is
+        /// already read, and the source wrote header + payload as one
+        /// contiguous write, so the payload is on the wire (or in the
+        /// socket buffer) no matter when the read arms.
         place_pending: VecDeque<usize>,
         place_ns: u64,
         flush_ns: u64,
@@ -1495,7 +1230,6 @@ mod linux {
         /// (control + data, in that order).
         #[allow(clippy::too_many_arguments)]
         fn new(
-            ms: bool,
             lease: Vec<u32>,
             ctrl: TcpStream,
             data: Vec<TcpStream>,
@@ -1507,19 +1241,13 @@ mod linux {
             mailbox: Option<crossbeam::channel::Sender<SinkEvt>>,
             stats_tx: Option<std::sync::mpsc::SyncSender<SessionStats>>,
         ) -> Sess {
-            let init = if ms {
-                RxState::MsHeader { got: 0 }
-            } else {
-                RxState::FxHeader { got: 0 }
-            };
             let links = data
                 .iter()
                 .map(|s| Link {
                     fd: s.as_raw_fd(),
-                    state: init,
+                    state: RxState::FxHeader { got: 0 },
                     hdr_buf: Box::new([0u8; DATA_FRAME_HEADER_LEN]),
                     scratch: Vec::new(),
-                    parked: false,
                 })
                 .collect();
             let ctrl_link = CtrlLink {
@@ -1557,9 +1285,10 @@ mod linux {
         }
     }
 
-    /// Fallback: per-session cap on concurrently-armed payload reads —
-    /// one keeps each socket→slot copy adjacent to its verify instead of
-    /// a burst of sibling copies evicting the block first.
+    /// Per-session cap on concurrently-armed payload reads — one keeps
+    /// each socket→slot copy adjacent to its verify instead of a burst
+    /// of sibling copies evicting the block first. Per session, so a
+    /// peer stopped mid-frame holds only its own session's slot.
     const PLACE_CAP: u32 = 1;
 
     /// `user_data` link field naming a session's control socket.
@@ -1575,105 +1304,6 @@ mod linux {
         ((sid as u64) << 32) | link as u64
     }
 
-    /// Feed one multishot completion's worth of wire-stream bytes into
-    /// link `i`'s parser. Returns a *session*-level error on a torn or
-    /// invalid frame.
-    fn ms_feed(
-        sess: &mut Sess,
-        slots: &[&Mutex<SlotBuf>],
-        i: usize,
-        mut bytes: &[u8],
-        floor: Instant,
-    ) -> io::Result<()> {
-        while !bytes.is_empty() {
-            match sess.links[i].state {
-                RxState::MsHeader { got } => {
-                    let take = (DATA_FRAME_HEADER_LEN - got).min(bytes.len());
-                    sess.links[i].hdr_buf[got..got + take].copy_from_slice(&bytes[..take]);
-                    bytes = &bytes[take..];
-                    let got = got + take;
-                    if got < DATA_FRAME_HEADER_LEN {
-                        sess.links[i].state = RxState::MsHeader { got };
-                        continue;
-                    }
-                    let hdr = DataFrameHeader::decode(&sess.links[i].hdr_buf[..])
-                        .map_err(|e| perr(format!("bad data frame header: {e:?}")))?;
-                    if hdr.session != SESSION
-                        || hdr.slot >= sess.pool_blocks
-                        || hdr.len as usize > sess.block_size
-                        || hdr.seq as u64 >= sess.total_blocks
-                    {
-                        return Err(perr(format!("bad data frame {hdr:?}")));
-                    }
-                    sess.links[i].state = if !sess.placed.claim(hdr.seq as u64) {
-                        // Retransmit raced a slow ack; its slot may have
-                        // been re-granted, so the bytes are skipped
-                        // without placing them — exactly-once placement.
-                        sess.duplicates += 1;
-                        RxState::MsDiscard {
-                            remaining: hdr.wire_len(),
-                        }
-                    } else {
-                        RxState::MsBody {
-                            hdr,
-                            got: 0,
-                            t0: Instant::now(),
-                        }
-                    };
-                }
-                RxState::MsBody { hdr, got, t0 } => {
-                    let wire_len = hdr.wire_len();
-                    let take = (wire_len - got).min(bytes.len());
-                    let fixed = sess.lease[hdr.slot as usize] as usize;
-                    {
-                        let mut dst = slots[fixed].lock();
-                        dst[got..got + take].copy_from_slice(&bytes[..take]);
-                    }
-                    bytes = &bytes[take..];
-                    let got = got + take;
-                    if got < wire_len {
-                        sess.links[i].state = RxState::MsBody { hdr, got, t0 };
-                        continue;
-                    }
-                    let ns = t0.max(floor).elapsed().as_nanos() as u64;
-                    sess.place_ns += ns;
-                    sess.place_hist.record(ns);
-                    if let SnkBackend::File(sink) = &*sess.backend {
-                        // Write-behind, exactly like the fallback path:
-                        // the block lands at its final offset the moment
-                        // its last byte is copied in.
-                        let t1 = Instant::now();
-                        let dst = slots[fixed].lock();
-                        sink.write_block(
-                            &dst[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + hdr.len as usize],
-                            hdr.seq as u64 * sess.block_size as u64,
-                        )?;
-                        sess.flush_ns += t1.elapsed().as_nanos() as u64;
-                    }
-                    sess.emit.push(SinkEvt::Arrival {
-                        seq: hdr.seq,
-                        slot: hdr.slot,
-                        len: hdr.len,
-                    });
-                    sess.links[i].state = RxState::MsHeader { got: 0 };
-                }
-                RxState::MsDiscard { remaining } => {
-                    let take = remaining.min(bytes.len());
-                    bytes = &bytes[take..];
-                    let remaining = remaining - take;
-                    sess.links[i].state = if remaining == 0 {
-                        RxState::MsHeader { got: 0 }
-                    } else {
-                        RxState::MsDiscard { remaining }
-                    };
-                }
-                // EOF (or a stray fallback state): drop trailing bytes.
-                _ => return Ok(()),
-            }
-        }
-        Ok(())
-    }
-
     /// The hub-wakeup socket the daemon driver arms a `READ` on, so
     /// registration/detach messages interrupt a blocked `GETEVENTS`.
     struct WakeLink {
@@ -1687,10 +1317,10 @@ mod linux {
         None,
         /// Re-arm link `i`'s current state.
         Arm,
-        /// Arm link `i`'s `FxPlace` read under the cap (or park it).
+        /// Arm link `i`'s `FxPlace` read under the cap (or queue it).
         ArmPlace,
-        /// A block finished placing on link `i`: free its cap slot, arm
-        /// a parked placement if any, then re-arm `i`'s header read.
+        /// A block finished placing on link `i`: free its cap slot (arming
+        /// a deferred placement if any), then re-arm `i`'s header read.
         Placed,
         /// Record a session-level failure and cut the session loose.
         Fail(io::Error),
@@ -1712,13 +1342,7 @@ mod linux {
         /// The registered fixed-buffer table; each session's `lease`
         /// maps wire slots into it.
         slots: &'a [&'a Mutex<SlotBuf>],
-        /// Multishot receive active (vs the `Fx*` fallback).
-        ms: bool,
-        pbuf: Option<PbufRing>,
         sessions: HashMap<u32, Sess>,
-        /// `(sid, link)` pairs whose multishot receive died on
-        /// `ENOBUFS`, re-armed as buffers recycle.
-        starved: VecDeque<(u32, usize)>,
         queued: u32,
         cqes: Vec<Cqe>,
         /// The place-clock floor: the last instant this thread returned
@@ -1728,8 +1352,6 @@ mod linux {
         /// bytes — comparable to the TCP sink's per-thread blocking
         /// reads.
         place_floor: Instant,
-        multishot_rearms: u64,
-        pbuf_exhausted: u64,
         /// Ring-level failure: everything on the ring is dead.
         fatal: Option<io::Error>,
         wake: Option<WakeLink>,
@@ -1739,24 +1361,14 @@ mod linux {
     }
 
     impl<'a> MultiDriver<'a> {
-        fn new(
-            ring: &'a Ring,
-            slots: &'a [&'a Mutex<SlotBuf>],
-            ms: bool,
-            pbuf: Option<PbufRing>,
-        ) -> MultiDriver<'a> {
+        fn new(ring: &'a Ring, slots: &'a [&'a Mutex<SlotBuf>]) -> MultiDriver<'a> {
             MultiDriver {
                 ring,
                 slots,
-                ms,
-                pbuf,
                 sessions: HashMap::new(),
-                starved: VecDeque::new(),
                 queued: 0,
                 cqes: Vec::with_capacity(64),
                 place_floor: Instant::now(),
-                multishot_rearms: 0,
-                pbuf_exhausted: 0,
                 fatal: None,
                 wake: None,
                 wake_armed: false,
@@ -1768,9 +1380,7 @@ mod linux {
             UringStats {
                 enters: self.ring.enters.load(Ordering::Relaxed),
                 cqes: self.ring.reaped.load(Ordering::Relaxed),
-                multishot: self.ms,
-                multishot_rearms: self.multishot_rearms,
-                pbuf_exhausted: self.pbuf_exhausted,
+                pbuf_exhausted: 0,
                 registrations: self.ring.registers.load(Ordering::Relaxed),
             }
         }
@@ -1816,18 +1426,6 @@ mod linux {
             let user_data = ud(sid, i as u32);
             let sqe = match sess.links[i].state {
                 RxState::Eof => return Ok(()),
-                RxState::MsHeader { .. } | RxState::MsBody { .. } | RxState::MsDiscard { .. } => {
-                    sess.links[i].parked = false;
-                    Sqe {
-                        opcode: IORING_OP_RECV,
-                        flags: IOSQE_BUFFER_SELECT,
-                        ioprio: IORING_RECV_MULTISHOT,
-                        fd,
-                        buf_index: PBUF_BGID,
-                        user_data,
-                        ..Default::default()
-                    }
-                }
                 RxState::FxHeader { got } => Sqe {
                     opcode: IORING_OP_READ,
                     fd,
@@ -1864,10 +1462,9 @@ mod linux {
             self.push_sqe(&sqe)
         }
 
-        /// Fallback: arm a `FxPlace` read if the session's cap has
-        /// room, else park the link. Resets the place clock at true arm
-        /// time so a parked link doesn't bill its queue wait as
-        /// placement.
+        /// Arm a `FxPlace` read if the session's cap has room, else
+        /// park the link. Resets the place clock at true arm time so a
+        /// parked link doesn't bill its queue wait as placement.
         fn arm_place(&mut self, sid: u32, i: usize) -> io::Result<()> {
             let sess = self.sessions.get_mut(&sid).unwrap();
             if sess.place_armed < PLACE_CAP {
@@ -2044,9 +1641,8 @@ mod linux {
             }
         }
 
-        /// Fallback-mode data completion: the ported header-first
-        /// armed-read state machine.
-        fn on_data_cqe_fx(&mut self, sid: u32, i: usize, c: &Cqe) -> io::Result<()> {
+        /// Data completion: the header-first armed-read state machine.
+        fn on_data_cqe(&mut self, sid: u32, i: usize, c: &Cqe) -> io::Result<()> {
             let place_floor = self.place_floor;
             let mut next = Next::None;
             {
@@ -2057,8 +1653,7 @@ mod linux {
                 let idle = sess.detaching || sess.err.is_some();
                 let st = sess.links[i].state;
                 if c.res == -ECANCELED && !matches!(st, RxState::Eof) {
-                    // Dropped without side effects — retry in place (a
-                    // `FxPlace` link keeps the cap slot it holds).
+                    // Dropped without side effects — retry in place.
                     if !idle {
                         next = Next::Arm;
                     }
@@ -2230,107 +1825,6 @@ mod linux {
             }
         }
 
-        /// Multishot-mode data completion: recycle-and-parse. `more` is
-        /// the CQE's `F_MORE` (the receive is still armed).
-        fn on_data_cqe_ms(&mut self, sid: u32, i: usize, c: &Cqe, more: bool) -> io::Result<()> {
-            let place_floor = self.place_floor;
-            if c.res < 0 {
-                let (idle, eof) = {
-                    let sess = self.sessions.get_mut(&sid).unwrap();
-                    (
-                        sess.detaching || sess.err.is_some(),
-                        matches!(sess.links[i].state, RxState::Eof),
-                    )
-                };
-                match -c.res {
-                    _ if idle || eof => return Ok(()),
-                    ECANCELED => {
-                        self.multishot_rearms += 1;
-                        return self.arm_link(sid, i);
-                    }
-                    ENOBUFS => {
-                        // Buffer ring dry: park until a recycle.
-                        self.pbuf_exhausted += 1;
-                        self.sessions.get_mut(&sid).unwrap().links[i].parked = true;
-                        self.starved.push_back((sid, i));
-                        return Ok(());
-                    }
-                    e => {
-                        self.sess_fail(sid, io::Error::from_raw_os_error(e));
-                        return Ok(());
-                    }
-                }
-            }
-            let bid = (c.flags & IORING_CQE_F_BUFFER != 0)
-                .then_some((c.flags >> IORING_CQE_BUFFER_SHIFT) as u16);
-            let mut fed = Ok(());
-            if c.res == 0 {
-                let sess = self.sessions.get_mut(&sid).unwrap();
-                if !(sess.detaching || sess.err.is_some()) {
-                    match sess.links[i].state {
-                        RxState::MsHeader { got: 0 } => {
-                            sess.links[i].state = RxState::Eof;
-                            sess.emit.push(SinkEvt::DataEof);
-                        }
-                        RxState::Eof => {}
-                        _ => {
-                            fed = Err(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "stream closed mid-frame",
-                            ))
-                        }
-                    }
-                }
-            } else {
-                let n = c.res as usize;
-                let Self {
-                    sessions,
-                    slots,
-                    pbuf,
-                    ..
-                } = self;
-                let sess = sessions.get_mut(&sid).unwrap();
-                if sess.detaching || sess.err.is_some() {
-                    // Draining a cut session: count the buffer back in,
-                    // parse nothing.
-                } else {
-                    match bid {
-                        None => {
-                            fed = Err(perr("multishot completion without a buffer"));
-                        }
-                        Some(bid) => {
-                            let bytes = &pbuf.as_ref().expect("ms without pbuf").buf(bid)[..n];
-                            fed = ms_feed(sess, slots, i, bytes, place_floor);
-                        }
-                    }
-                }
-            }
-            // Recycle before re-arming: the returned buffer may be the
-            // one that un-starves a parked link.
-            if let Some(bid) = bid {
-                self.pbuf.as_mut().expect("ms without pbuf").recycle(bid);
-                self.drain_starved()?;
-            }
-            if let Err(e) = fed {
-                self.sess_fail(sid, e);
-                return Ok(());
-            }
-            let (rearm, parked) = {
-                let sess = self.sessions.get_mut(&sid).unwrap();
-                let dead = sess.detaching
-                    || sess.err.is_some()
-                    || matches!(sess.links[i].state, RxState::Eof);
-                (!more && !dead, sess.links[i].parked)
-            };
-            if rearm && !parked {
-                // Terminal CQE (`F_MORE` cleared) on a live link: the
-                // kernel dropped the multishot arm; re-arm it.
-                self.multishot_rearms += 1;
-                return self.arm_link(sid, i);
-            }
-            Ok(())
-        }
-
         /// Route one CQE. `Err` here is ring-fatal (a failed submit);
         /// session-level failures are recorded via `sess_fail`.
         fn on_cqe(&mut self, c: &Cqe) -> io::Result<()> {
@@ -2346,28 +1840,16 @@ mod linux {
             }
             let sid = (c.user_data >> 32) as u32;
             let link = (c.user_data & u32::MAX as u64) as u32;
-            let more = c.flags & IORING_CQE_F_MORE != 0;
-            {
-                // A CQE for a removed session cannot happen (entries
-                // only drop at `inflight == 0`), but route defensively.
-                let Some(sess) = self.sessions.get_mut(&sid) else {
-                    if let Some(p) = &mut self.pbuf {
-                        if c.flags & IORING_CQE_F_BUFFER != 0 {
-                            p.recycle((c.flags >> IORING_CQE_BUFFER_SHIFT) as u16);
-                        }
-                    }
-                    return Ok(());
-                };
-                if !more {
-                    sess.inflight = sess.inflight.saturating_sub(1);
-                }
-            }
+            // A CQE for a removed session cannot happen (entries only
+            // drop at `inflight == 0`), but route defensively.
+            let Some(sess) = self.sessions.get_mut(&sid) else {
+                return Ok(());
+            };
+            sess.inflight = sess.inflight.saturating_sub(1);
             if link == CTRL_LINK {
                 self.on_ctrl_cqe(sid, c)
-            } else if self.ms {
-                self.on_data_cqe_ms(sid, link as usize, c, more)
             } else {
-                self.on_data_cqe_fx(sid, link as usize, c)
+                self.on_data_cqe(sid, link as usize, c)
             }
         }
 
@@ -2377,31 +1859,6 @@ mod linux {
         /// a *cumulative* deadline across its internal waits), or
         /// `false` when the wait timed out, every link is done, or the
         /// driver failed.
-        /// Re-arm every live parked link. Runs after each recycle AND at
-        /// every CQE-batch boundary: by batch end each buffer the batch
-        /// delivered has been recycled, so the provided-buffer ring is
-        /// as full as it gets. Without the batch-end pass, an `ENOBUFS`
-        /// processed after the batch's last recycle parks its link with
-        /// nothing left to wake it — the only still-armed link may stay
-        /// silent forever while the remaining frames sit in the parked
-        /// links' sockets (observed as a total transfer stall with a
-        /// 1-buffer ring).
-        fn drain_starved(&mut self) -> io::Result<()> {
-            while let Some((s2, l2)) = self.starved.pop_front() {
-                // A parked link has nothing in flight, so its session
-                // may have failed or finalized while it waited — only
-                // re-arm live ones.
-                let live = self.sessions.get(&s2).is_some_and(|s| {
-                    !s.detaching && s.err.is_none() && !matches!(s.links[l2].state, RxState::Eof)
-                });
-                if live {
-                    self.multishot_rearms += 1;
-                    self.arm_link(s2, l2)?;
-                }
-            }
-            Ok(())
-        }
-
         fn pump(&mut self, sid: u32, window: Option<Duration>, out: &mut Vec<SinkEvt>) -> bool {
             if self.fatal.is_some() || self.sessions.get(&sid).is_none_or(|s| s.err.is_some()) {
                 return false;
@@ -2468,10 +1925,6 @@ mod linux {
                     }
                 }
                 self.cqes = cqes;
-                if let Err(e) = self.drain_starved() {
-                    self.fatal = Some(e);
-                    return false;
-                }
                 if let Some(sess) = self.sessions.get_mut(&sid) {
                     if sess.err.is_some() {
                         return false;
@@ -2525,7 +1978,6 @@ mod linux {
             }
             self.cqes = cqes;
             r?;
-            self.drain_starved()?;
             self.submit_queued()?;
             self.deliver_mailboxes();
             Ok(())
@@ -2542,8 +1994,8 @@ mod linux {
             self.fatal = Some(e);
         }
 
-        /// Drain until no kernel op targets the slot buffers, provided
-        /// buffers, or wake buffer — must run (after the sockets are
+        /// Drain until no kernel op targets the slot buffers or the wake
+        /// buffer — must run (after the sockets are
         /// shut down) before any of them can be freed.
         fn quiesce(&mut self) {
             self.stopping = true;
@@ -2570,9 +2022,6 @@ mod linux {
                     if c.user_data == UD_NOP {
                         continue;
                     }
-                    if c.flags & IORING_CQE_F_MORE != 0 {
-                        continue; // non-terminal: the op is still armed
-                    }
                     let sid = (c.user_data >> 32) as u32;
                     if let Some(sess) = self.sessions.get_mut(&sid) {
                         sess.inflight = sess.inflight.saturating_sub(1);
@@ -2582,32 +2031,11 @@ mod linux {
             }
         }
     }
-    /// Smallest 4K-aligned provided-buffer length that holds one whole
-    /// wire frame (frame header + payload header + block), so a
-    /// saturated link's multishot completion covers a full block and
-    /// CQEs/block stays ~1.
-    fn pbuf_len(block_size: usize) -> usize {
-        (DATA_FRAME_HEADER_LEN + PAYLOAD_HEADER_LEN + block_size + 4095) & !4095
-    }
-
-    /// How many provided buffers to post: the [`LiveConfig::uring_pbuf`]
-    /// pin (tests force exhaustion with 1), or 32 when it is 0 — the
-    /// daemon's shared driver always passes 0. Clamped to 256 so a
-    /// worst-case burst (every buffer completing at once, plus re-arms)
-    /// stays well inside the CQ (2×[`RING_ENTRIES`]).
-    fn pbuf_count(uring_pbuf: u32) -> u32 {
-        if uring_pbuf > 0 {
-            uring_pbuf.min(256)
-        } else {
-            32
-        }
-    }
 
     /// One accepted source connection set, ready for [`run_uring_sink`]
     /// — the uring counterpart of [`NetListener::accept_session`].
     pub struct UringSinkSession {
         streams: SessionStreams,
-        caps: UringCaps,
     }
 
     /// Accept one source's connection set for the io_uring sink and
@@ -2619,7 +2047,7 @@ mod linux {
         listener: &NetListener,
         sockbuf: usize,
     ) -> io::Result<(UringSinkSession, CtrlMsg)> {
-        let caps = ring_caps()?;
+        ring_caps()?;
         let mut streams = listener.accept_streams(sockbuf)?;
         // Bounded like `accept_session`: a silent post-hello peer is a
         // timeout error, not a parked sink.
@@ -2628,7 +2056,7 @@ mod linux {
             .set_read_timeout(Some(crate::net::HELLO_TIMEOUT))?;
         let first = crate::net::read_one_ctrl_frame(&mut streams.ctrl)?;
         streams.ctrl.set_read_timeout(None)?;
-        Ok((UringSinkSession { streams, caps }, first))
+        Ok((UringSinkSession { streams }, first))
     }
 
     /// Run the sink half over one io_uring: the protocol brain is the
@@ -2642,7 +2070,7 @@ mod linux {
         first_ctrl: Option<CtrlMsg>,
     ) -> io::Result<LiveReport> {
         assert!(cfg.channels >= 1 && cfg.total_bytes > 0);
-        let UringSinkSession { streams, caps } = session;
+        let UringSinkSession { streams } = session;
         let SessionStreams {
             ctrl,
             data,
@@ -2669,16 +2097,6 @@ mod linux {
 
         let ring = transfer_ring(true)?;
         ring.register_pool(&snk_bufs)?;
-        let ms = caps.multishot;
-        let pbuf = if ms {
-            Some(PbufRing::new(
-                &ring,
-                pbuf_count(cfg.uring_pbuf),
-                pbuf_len(cfg.block_size),
-            )?)
-        } else {
-            None
-        };
 
         let mut handles = vec![ctrl.try_clone()?];
         for s in &data {
@@ -2703,12 +2121,11 @@ mod linux {
             None,
             ctl.as_ref(),
         );
-        let mut drv = MultiDriver::new(&ring, &snk_bufs, ms, pbuf);
+        let mut drv = MultiDriver::new(&ring, &snk_bufs);
         // Pump mode: one session, identity lease (the pool *is* the
         // registered table), no mailbox — `pump` feeds the handler
         // directly on this thread.
         let sess = Sess::new(
-            ms,
             (0..cfg.pool_blocks).collect(),
             ctrl,
             data,
@@ -2736,8 +2153,7 @@ mod linux {
         if let Err(e) = run {
             fail.set(e);
         }
-        // Quiesce before the slot buffers, provided buffers, or ring
-        // can be freed: shut every link (the transfer is over either
+        // Quiesce before the slot buffers or ring can be freed: shut every link (the transfer is over either
         // way — the final acks are already flushed and ride out ahead
         // of the FIN), then drain the in-flight reads the shutdown
         // completes.
@@ -2857,16 +2273,9 @@ mod linux {
         tx: std::sync::mpsc::Sender<HubMsg>,
         wake: Mutex<UnixStream>,
         next_sid: AtomicU32,
-        ms: bool,
     }
 
     impl UringHub {
-        /// Whether the shared ring runs multishot receive (vs the
-        /// `READ_FIXED` fallback).
-        pub(crate) fn multishot(&self) -> bool {
-            self.ms
-        }
-
         fn send(&self, msg: HubMsg) -> io::Result<()> {
             self.tx
                 .send(msg)
@@ -2924,7 +2333,6 @@ mod linux {
                 return Ok(());
             }
             let sess = Sess::new(
-                self.ms,
                 lease,
                 ctrl,
                 data,
@@ -2943,41 +2351,30 @@ mod linux {
     /// The daemon's one data-path thread: owns the shared ring (created
     /// *on this thread* — `SINGLE_ISSUER` pins submission to the
     /// creator), registers the whole arena as fixed buffers **once**,
-    /// posts the provided-buffer ring, then loops adopting/detaching
-    /// sessions and retiring completions until told to stop.
+    /// then loops adopting/detaching sessions and retiring completions
+    /// until told to stop.
     fn driver_main(
-        ms: bool,
         slots: &[Mutex<SlotBuf>],
-        slot_cap: usize,
         rx: std::sync::mpsc::Receiver<HubMsg>,
         wake_r: UnixStream,
         init_tx: std::sync::mpsc::SyncSender<io::Result<()>>,
     ) -> UringStats {
         let view: Vec<&Mutex<SlotBuf>> = slots.iter().collect();
-        let init = (|| -> io::Result<(Ring, Option<PbufRing>)> {
-            let ring = transfer_ring(true)?;
+        let init = transfer_ring(true).and_then(|ring| {
             ring.register_pool(&view)?;
-            let pbuf = if ms {
-                Some(PbufRing::new(&ring, pbuf_count(0), pbuf_len(slot_cap))?)
-            } else {
-                None
-            };
-            Ok((ring, pbuf))
-        })();
-        let (ring, pbuf) = match init {
-            Ok(v) => {
+            Ok(ring)
+        });
+        let ring = match init {
+            Ok(ring) => {
                 let _ = init_tx.send(Ok(()));
-                v
+                ring
             }
             Err(e) => {
                 let _ = init_tx.send(Err(e));
-                return UringStats {
-                    multishot: ms,
-                    ..Default::default()
-                };
+                return UringStats::default();
             }
         };
-        let mut drv = MultiDriver::new(&ring, &view, ms, pbuf);
+        let mut drv = MultiDriver::new(&ring, &view);
         drv.wake = Some(WakeLink {
             stream: wake_r,
             buf: Box::new([0u8; 64]),
@@ -3009,8 +2406,8 @@ mod linux {
         if let Err(e) = run {
             drv.fail_all(e);
         }
-        // Drain every kernel op targeting the arena, the provided
-        // buffers, or the wake buffer before any can be freed, then
+        // Drain every kernel op targeting the arena or the wake buffer
+        // before either can be freed, then
         // complete outstanding detach handshakes.
         drv.quiesce();
         drv.finalize_sessions();
@@ -3018,23 +2415,21 @@ mod linux {
     }
 
     /// Spawn the daemon's shared uring driver over the whole arena
-    /// (`slots`, every buffer sized `slot_cap`). Fails with
-    /// `Unsupported` when the kernel cannot run the ring backend, and
-    /// with the driver's own error when ring setup / registration /
-    /// pbuf posting fails — nothing is leaked either way.
+    /// (`slots`). Fails with `Unsupported` when the kernel cannot run
+    /// the ring backend, and with the driver's own error when ring
+    /// setup or registration fails — nothing is leaked either way.
     pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         slots: &'env [Mutex<SlotBuf>],
-        slot_cap: usize,
     ) -> io::Result<(
         Arc<UringHub>,
         std::thread::ScopedJoinHandle<'scope, UringStats>,
     )> {
-        let ms = ring_caps()?.multishot;
+        ring_caps()?;
         let (tx, rx) = std::sync::mpsc::channel::<HubMsg>();
         let (wake_w, wake_r) = UnixStream::pair()?;
         let (init_tx, init_rx) = std::sync::mpsc::sync_channel::<io::Result<()>>(1);
-        let handle = scope.spawn(move || driver_main(ms, slots, slot_cap, rx, wake_r, init_tx));
+        let handle = scope.spawn(move || driver_main(slots, rx, wake_r, init_tx));
         match init_rx.recv() {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
@@ -3051,7 +2446,6 @@ mod linux {
                 tx,
                 wake: Mutex::new(wake_w),
                 next_sid: AtomicU32::new(0),
-                ms,
             }),
             handle,
         ))
@@ -3166,10 +2560,7 @@ mod linux {
             duplicates: 0,
             place_hist: NsHist::new(),
             err: Some(perr("uring driver exited before detach")),
-            ring: UringStats {
-                multishot: hub.multishot(),
-                ..Default::default()
-            },
+            ring: UringStats::default(),
         });
         if let Err(e) = run {
             // The driver-side error is the root cause when both halves
@@ -3193,63 +2584,13 @@ mod linux {
             assert_eq!(std::mem::size_of::<Cqe>(), 16);
             assert_eq!(std::mem::size_of::<SqringOffsets>(), 40);
             assert_eq!(std::mem::size_of::<CqringOffsets>(), 40);
-            // struct io_uring_buf / io_uring_buf_reg
-            assert_eq!(std::mem::size_of::<PbufEntry>(), 16);
-            assert_eq!(std::mem::size_of::<PbufReg>(), 40);
         }
 
-        /// Provided-buffer-ring exhaustion: with a single provided
-        /// buffer over four concurrent links, multishot receives must
-        /// park on `ENOBUFS` and recover on recycle — no lost and no
-        /// double-placed block, byte-identical output — even while the
-        /// fault injector forces drops and retransmits.
+        /// The header-first `READ_FIXED` receive path under loss: four
+        /// links with forced drops and retransmits must still deliver
+        /// byte-identical, exactly-once output.
         #[test]
-        fn pbuf_exhaustion_parks_and_recovers() {
-            if !uring_supported() {
-                eprintln!("skipping: io_uring not supported by this kernel");
-                return;
-            }
-            if !uring_multishot() {
-                eprintln!("skipping: multishot receive unavailable");
-                return;
-            }
-            let mut cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
-            cfg.uring_pbuf = 1; // force exhaustion under concurrency
-            let listener = NetListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let sockbuf = crate::net::default_sockbuf(cfg.block_size, cfg.channel_depth);
-            let mut src_cfg = cfg.clone();
-            src_cfg.fault_drop_p = 0.2;
-            let src = std::thread::spawn(move || {
-                let t = connect_source_uring(addr, src_cfg.channels, sockbuf)?;
-                crate::split::run_split_source(&src_cfg, t)
-            });
-            let (sess, first) = accept_source_uring(&listener, sockbuf).unwrap();
-            let snk = run_uring_sink(&cfg, sess, Some(first)).unwrap();
-            let src = src.join().unwrap().unwrap();
-            assert_eq!(snk.blocks, cfg.total_blocks());
-            assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
-            assert!(src.retransmits > 0, "fault injector must have fired");
-            let stats = snk.uring.expect("uring report carries ring stats");
-            assert!(stats.multishot);
-            assert!(
-                stats.pbuf_exhausted > 0,
-                "a 1-buffer ring over 4 links must run dry: {stats:?}"
-            );
-            assert!(
-                stats.multishot_rearms >= stats.pbuf_exhausted,
-                "every parked link re-arms: {stats:?}"
-            );
-        }
-
-        /// The header-first `READ_FIXED` fallback — the only receive
-        /// path on kernels whose multishot probe fails — run in process
-        /// on any io_uring kernel by clearing the probed capability on
-        /// the accepted session: four links under forced drops and
-        /// retransmits must still deliver byte-identical, exactly-once
-        /// output.
-        #[test]
-        fn header_first_fallback_under_drops() {
+        fn uring_transfer_under_drops() {
             if !uring_supported() {
                 eprintln!("skipping: io_uring not supported by this kernel");
                 return;
@@ -3264,19 +2605,13 @@ mod linux {
                 let t = connect_source_uring(addr, src_cfg.channels, sockbuf)?;
                 crate::split::run_split_source(&src_cfg, t)
             });
-            let (mut sess, first) = accept_source_uring(&listener, sockbuf).unwrap();
-            sess.caps.multishot = false;
+            let (sess, first) = accept_source_uring(&listener, sockbuf).unwrap();
             let snk = run_uring_sink(&cfg, sess, Some(first)).unwrap();
             let src = src.join().unwrap().unwrap();
             assert_eq!(snk.blocks, cfg.total_blocks());
             assert_eq!(snk.bytes, cfg.total_bytes);
             assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
             assert!(src.retransmits > 0, "fault injector must have fired");
-            let stats = snk.uring.expect("uring report carries ring stats");
-            assert!(
-                !stats.multishot,
-                "the header-first path must run: {stats:?}"
-            );
         }
 
         /// The capability probe must never panic, whatever the kernel.
@@ -3339,10 +2674,6 @@ mod stub {
         false
     }
 
-    pub fn uring_multishot() -> bool {
-        false
-    }
-
     fn unsupported<T>() -> io::Result<T> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -3377,16 +2708,12 @@ mod stub {
     pub(crate) struct UringHub(());
 
     impl UringHub {
-        pub(crate) fn multishot(&self) -> bool {
-            false
-        }
         pub(crate) fn stop(&self) {}
     }
 
     pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
         _scope: &'scope std::thread::Scope<'scope, 'env>,
         _slots: &'env [parking_lot::Mutex<crate::store::SlotBuf>],
-        _slot_cap: usize,
     ) -> io::Result<(
         std::sync::Arc<UringHub>,
         std::thread::ScopedJoinHandle<'scope, crate::transport::UringStats>,
@@ -3409,8 +2736,7 @@ mod stub {
 
 #[cfg(not(target_os = "linux"))]
 pub use stub::{
-    accept_source_uring, connect_source_uring, run_uring_sink, uring_multishot, uring_supported,
-    UringSinkSession,
+    accept_source_uring, connect_source_uring, run_uring_sink, uring_supported, UringSinkSession,
 };
 #[cfg(not(target_os = "linux"))]
 pub(crate) use stub::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};

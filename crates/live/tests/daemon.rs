@@ -338,13 +338,52 @@ fn sigterm_drains_in_flight_session_then_exits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A source that dies mid-transfer fails its own session and nothing
-/// else: the concurrent good session completes byte-identical, and the
-/// crashed session's slots return to the arena (asserted at drain).
-#[test]
-fn session_crash_does_not_corrupt_neighbors() {
-    let dir = tmp_dir("crash");
+/// A source that stops mid-frame: it opens a session, waits for the
+/// opening grant (so the sink has armed its links), writes one frame
+/// header and only half the payload it announces, runs `hold` with its
+/// sockets still open, then cuts every link. The io_uring source
+/// backend sends the torn frame as given, which is what lets a test
+/// produce one.
+fn torn_frame_victim(
+    addr: std::net::SocketAddr,
+    block: u32,
+    hold: impl FnOnce(),
+) -> std::io::Result<()> {
+    use rftp_core::wire::{CtrlMsg, DataFrameHeader};
+    const SESSION: u32 = 1; // the live pipeline's session id on the wire
+    let mut t = rftp_live::connect_source_uring(addr, 2, 0)?;
+    t.ctrl_tx.send(&CtrlMsg::SessionRequest {
+        session: SESSION,
+        block_size: block as u64,
+        channels: 2,
+        total_bytes: 4 * block as u64,
+        notify_imm: true,
+    })?;
+    t.ctrl_rx.recv()?;
+    let hdr = DataFrameHeader {
+        session: SESSION,
+        seq: 0,
+        slot: 0,
+        len: block,
+    };
+    t.data[0].send(hdr, &vec![0u8; hdr.wire_len() / 2])?;
+    hold();
+    (t.abort)();
+    Ok(())
+}
+
+/// Sources that die or stall mid-transfer fail their own sessions and
+/// nothing else: the concurrent good session completes byte-identical,
+/// and the crashed sessions' slots return to the arena (asserted at
+/// drain). The second victim stops mid-frame and stays connected, with
+/// the sink's payload read for that frame armed, until the neighbor has
+/// finished: a stalled peer must not hold up anyone else's placement.
+/// Only then does it cut its links, so the sink also sees a session
+/// fail with a placement in flight.
+fn crash_does_not_corrupt_neighbors(transport: DaemonTransport, tag: &str) {
+    let dir = tmp_dir(tag);
     let mut cfg = base_daemon_cfg();
+    cfg.transport = transport;
     cfg.dst_dir = Some(dir.clone());
     let (addr, handle, jh) = start_daemon(cfg);
 
@@ -358,25 +397,47 @@ fn session_crash_does_not_corrupt_neighbors() {
         .unwrap();
     std::thread::sleep(Duration::from_millis(200));
 
-    // The neighbor: an in-process paced session overlapping the crash.
+    // The neighbor: an in-process session paced to ~0.5 s, so it is
+    // still placing blocks when the crash lands 0.1 s in.
     let src = dir.join("good.dat");
     let bytes = (2 << 20) / SCALE + 999;
     write_test_file(&src, bytes, 11);
     let mut c = LiveConfig::new(64 * 1024, 2, bytes);
     c.src_file = Some(src.clone());
+    c.src_rate = Some(bytes as f64 * 2.0);
     let good = std::thread::spawn(move || run_client(addr, &c, false));
     std::thread::sleep(Duration::from_millis(100));
 
     crasher.kill().unwrap();
     crasher.wait().unwrap();
-
+    let deadline = Instant::now() + Duration::from_secs(60);
+    if rftp_live::uring_supported() {
+        torn_frame_victim(addr, 64 * 1024, || {
+            while !good.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        })
+        .expect("torn-frame victim");
+        assert!(
+            good.is_finished(),
+            "neighbor session stalled behind a peer stopped mid-frame"
+        );
+    }
+    while !good.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "neighbor session stalled after the crash"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     good.join().unwrap().expect("neighbor session failed");
     let report = drain(&handle, jh);
     assert_eq!(report.completed, 1, "{report:?}");
-    assert_eq!(report.failed, 1, "the crashed session is accounted");
+    let victims = if rftp_live::uring_supported() { 2 } else { 1 };
+    assert_eq!(report.failed, victims, "every crashed session is accounted");
 
     let want = std::fs::read(&src).unwrap();
-    let good_out: Vec<PathBuf> = (0..2)
+    let good_out: Vec<PathBuf> = (0..=victims)
         .map(|n| dir.join(format!("session-{n}.dat")))
         .filter(|p| std::fs::metadata(p).is_ok_and(|m| m.len() == bytes))
         .collect();
@@ -384,6 +445,20 @@ fn session_crash_does_not_corrupt_neighbors() {
     let got = std::fs::read(&good_out[0]).unwrap();
     assert!(got == want, "neighbor bytes corrupted by the crash");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn session_crash_does_not_corrupt_neighbors() {
+    crash_does_not_corrupt_neighbors(DaemonTransport::Tcp, "crash");
+}
+
+#[test]
+fn uring_session_crash_does_not_corrupt_neighbors() {
+    if !rftp_live::uring_supported() {
+        eprintln!("skipping: io_uring transport unsupported on this kernel");
+        return;
+    }
+    crash_does_not_corrupt_neighbors(DaemonTransport::Uring, "crash_uring");
 }
 
 /// Back-to-back sessions reuse the same warm daemon — and the same
