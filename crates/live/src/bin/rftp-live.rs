@@ -18,14 +18,13 @@
 use rftp_core::wire::CtrlMsg;
 use rftp_live::args::{flag_parse, flag_path, flag_size, flag_value};
 use rftp_live::{
-    net, run_split_pair_wan, run_split_sink, run_split_source, try_run_live, LiveConfig,
-    LiveReport, WanProfile,
+    net, run_split_pair_wan, run_split_sink, run_split_source, LiveConfig, LiveReport, WanProfile,
 };
 use std::path::PathBuf;
 
 /// Which end of the transfer this process runs.
 enum Mode {
-    /// Both halves in this process (the original pipeline).
+    /// Both halves in this process, over the in-process channel backend.
     Local,
     /// Sink half: bind, accept one source, receive.
     Listen(String),
@@ -62,7 +61,6 @@ struct Args {
     batch: usize,
     pool: u32,
     depth: usize,
-    notify_imm: bool,
     fault_drop_p: f64,
     src_file: Option<PathBuf>,
     dst_file: Option<PathBuf>,
@@ -95,7 +93,6 @@ OPTIONS:
                      message per block (default 16)
   --pool <N>         pool blocks per endpoint (default 32)
   --depth <N>        per-channel queue depth (default 8)
-  --notify-imm       in-band arrival notification (WRITE_WITH_IMM)
   --fault drop=<P>   drop each payload with probability P (exercises
                      the retransmit path)
   --src-file <PATH>  read payload from this file instead of pattern fill
@@ -155,7 +152,6 @@ fn parse_args() -> Result<Args, String> {
         batch: 16,
         pool: 32,
         depth: 8,
-        notify_imm: false,
         fault_drop_p: 0.0,
         src_file: None,
         dst_file: None,
@@ -179,7 +175,6 @@ fn parse_args() -> Result<Args, String> {
             "--batch" => a.batch = flag_parse(it, "--batch")?,
             "--pool" => a.pool = flag_parse(it, "--pool")?,
             "--depth" => a.depth = flag_parse(it, "--depth")?,
-            "--notify-imm" => a.notify_imm = true,
             "--fault" => {
                 let v = flag_value(it, "--fault")?;
                 let p = v
@@ -293,7 +288,6 @@ fn build_cfg(a: &Args) -> LiveConfig {
     cfg.ctrl_batch = a.batch;
     cfg.pool_blocks = a.pool;
     cfg.channel_depth = a.depth;
-    cfg.notify_imm = a.notify_imm;
     cfg.fault_drop_p = a.fault_drop_p;
     cfg.src_file = a.src_file.clone();
     cfg.dst_file = a.dst_file.clone();
@@ -379,20 +373,15 @@ fn print_report(a: &Args, r: &LiveReport) {
 
 fn run(a: &Args) -> std::io::Result<LiveReport> {
     match &a.mode {
-        Mode::Local => match &a.wan {
-            None => try_run_live(&build_cfg(a)),
-            Some(wan) => {
-                // The split pair through the in-process shim: the sink
-                // report carries the placement/timing story, the source
-                // report the retransmit counters — merge the two.
-                let mut cfg = build_cfg(a);
-                apply_wan(a, &mut cfg);
-                let (src, mut snk) = run_split_pair_wan(&cfg, wan)?;
-                snk.retransmits = src.retransmits;
-                snk.dropped_payloads = src.dropped_payloads;
-                Ok(snk)
-            }
-        },
+        Mode::Local => {
+            // Both halves in this process; without --wan the shim is the
+            // identity and this is exactly `run_live`.
+            let mut cfg = build_cfg(a);
+            apply_wan(a, &mut cfg);
+            let wan = a.wan.clone().unwrap_or_else(WanProfile::clean);
+            let (src, snk) = run_split_pair_wan(&cfg, &wan)?;
+            Ok(LiveReport::from_halves(src, snk))
+        }
         Mode::Connect(addr) => {
             let mut cfg = build_cfg(a);
             apply_wan(a, &mut cfg);
@@ -529,13 +518,12 @@ fn main() {
     };
     if matches!(a.mode, Mode::Local) {
         println!(
-            "rftp-live: {} MB in {} KB blocks, {} channels, {} loaders, batch {}{}{}",
+            "rftp-live: {} MB in {} KB blocks, {} channels, {} loaders, batch {}{}",
             a.size >> 20,
             a.block >> 10,
             a.channels,
             a.loaders,
             a.batch,
-            if a.notify_imm { ", notify-imm" } else { "" },
             if a.fault_drop_p > 0.0 {
                 format!(", drop p={}", a.fault_drop_p)
             } else {

@@ -1,8 +1,7 @@
 //! The control-plane coalescing loop, extracted once.
 //!
-//! Every control handler in the suite — the main pipeline's completion
-//! handler and sink-control thread, the split sink's protocol brain, and
-//! the io_uring sink driver — runs the same drain shape: block for a
+//! Every sink control handler in the suite — the split sink's protocol
+//! brain and the io_uring sink driver — runs the same drain shape: block for a
 //! batch of events, process it, then *dwell* up to the flush window for
 //! more events while a partial ack/credit batch is pending, and flush
 //! before the next unbounded wait so coalescing never costs latency.

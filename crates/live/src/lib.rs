@@ -4,35 +4,35 @@
 //! behaviour; this crate proves its *concurrency* behaviour. It runs the
 //! same middleware machinery — the Fig. 7 wire formats, the Fig. 6
 //! buffer-block state machines, the proactive credit granter, and the
-//! out-of-order reassembly buffer — as a native multi-threaded pipeline:
+//! out-of-order reassembly buffer — on native threads, as one pipeline
+//! in two halves ([`split`]):
 //!
-//! * **queue pairs** are bounded `crossbeam` channels carrying real
-//!   encoded bytes (control) and real payload buffers (data);
-//! * **RDMA WRITE placement** is a memcpy into the slot a credit named,
-//!   performed by a per-channel receiver thread (the "NIC");
-//! * **threads** mirror Fig. 2's pool: loaders, a dispatcher, a
-//!   completion handler, per-channel receivers, a control handler, and a
-//!   consumer — synchronized with `parking_lot` locks and condvars.
+//! * the **source half** runs loaders (pattern fill or file reads), an
+//!   in-order dispatcher that pairs each block with a credit, a
+//!   retransmit watchdog, and a control thread that retires blocks on
+//!   the sink's acks;
+//! * the **sink half** runs one receiver per data channel (the "NIC":
+//!   it places each frame into the slot its credit named) and one
+//!   protocol handler that grants credits, verifies in order, and
+//!   coalesces acks and grants into batched control frames.
+//!
+//! The halves talk only through a [`transport`]: one control link plus
+//! N data links. [`run_live`] joins them in one process over the
+//! in-process channel backend, where an RDMA WRITE is one copy from the
+//! pinned source block into the credited sink slot. [`net`] (TCP),
+//! [`uring`] (io_uring) and [`shm`] (a shared memfd window) join them
+//! across processes, so `rftp-live --listen` and `rftp-live --connect`
+//! move a file between two OS processes; [`daemon`] serves many sink
+//! sessions from one shared slot arena.
 //!
 //! A transfer moves pattern data end to end with header validation and
 //! checksum verification at the sink, and reports real wall-clock
-//! throughput (this is actual memory bandwidth, typically several GB/s).
-//!
-//! With a source and/or destination file configured, the same pipeline
-//! runs **disk to disk**: the `store` module supplies an aligned,
-//! `O_DIRECT`-capable block reader and a write-behind sink that `pwrite`s
-//! each block at its final offset the moment it is placed — loaders
-//! become the read-ahead scheduler and sparse placement is the
-//! reassembly.
-//!
-//! The `transport` / `net` / `split` modules take the final step off the
-//! simulator: the pipeline splits into a standalone source half and sink
-//! half joined only by a [`transport`] — in-process channels for tests,
-//! or real TCP sockets ([`net`]) so `rftp-live --listen` and
-//! `rftp-live --connect` move a file between two OS processes. An RDMA
-//! WRITE becomes one vectored write of frame header + payload straight
-//! from the pinned block; the receiver reads the wire image directly
-//! into the credited slot.
+//! throughput and per-stage clocks. With a source and/or destination
+//! file configured, the same pipeline runs **disk to disk**: the
+//! [`store`] module supplies an aligned, `O_DIRECT`-capable block reader
+//! and a write-behind sink that `pwrite`s each block at its final offset
+//! the moment it is placed — loaders become the read-ahead scheduler and
+//! sparse placement is the reassembly.
 
 pub mod args;
 pub(crate) mod coalesce;

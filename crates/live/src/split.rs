@@ -1,36 +1,36 @@
-//! The pipeline split in two: a standalone source half and sink half
-//! joined only by a [`crate::transport`].
+//! The transfer pipeline, as two halves joined only by a
+//! [`crate::transport`].
 //!
-//! [`run_live`](crate::run_live) proves the protocol on shared memory —
-//! both halves in one address space, placement a memcpy between pools.
-//! This module is the same machinery with the address space cut down the
-//! middle: [`run_split_source`] runs loaders → dispatcher → retransmit
-//! watchdog against a [`SourceTransport`], [`run_split_sink`] runs
-//! per-channel receivers → control handler against a [`SinkTransport`],
-//! and nothing crosses except control frames and data frames. Over the
-//! TCP backend ([`crate::net`]) the two halves are two OS processes.
+//! [`run_split_source`] runs loaders → in-order dispatcher → retransmit
+//! watchdog → control thread against a [`SourceTransport`];
+//! [`run_split_sink`] runs per-channel receivers → one protocol handler
+//! against a [`SinkTransport`]. Nothing crosses between them except
+//! control frames and data frames, so the same two halves serve every
+//! backend: in one process over the channel backend ([`run_split_pair`],
+//! and [`crate::run_live`] on top of it), or as two OS processes over
+//! TCP ([`crate::net`]), io_uring ([`crate::uring`]) or shm
+//! ([`crate::shm`]).
 //!
-//! What changes against the shared-memory pipeline, and why:
+//! The shape follows from RDMA WRITE semantics over a transport that
+//! cannot place bytes behind the sink CPU's back:
 //!
-//! * **Arrivals are in-band.** An RDMA WRITE is invisible to the sink
-//!   CPU, so the shared-memory sink needs the source's completion
-//!   notification (or `notify_imm`) to learn a block landed. A stream
-//!   transport delivers the bytes *through* the sink's receiver — every
-//!   arrival is its own notification, exactly the WRITE-with-immediate
-//!   analogue, so the split sink always runs imm-style.
-//! * **Acks flow sink → source.** The shared-memory source sees its own
-//!   "NIC completion" locally; a TCP send completing says nothing about
-//!   remote placement. The sink acks placed blocks (coalesced
-//!   [`CtrlMsg::AckBatch`], same cap and flush window as the main
-//!   pipeline) and the source retires blocks on those acks.
-//! * **Placement is the socket read.** The receiver reads each frame's
+//! * **Arrivals are in-band.** Every data frame passes through the
+//!   sink's receiver, so each arrival is its own notification — the
+//!   WRITE-with-immediate analogue. The sink never waits for a separate
+//!   completion message from the source.
+//! * **Acks flow sink → source.** A local send completing says nothing
+//!   about remote placement. The sink acks placed blocks (coalesced
+//!   [`CtrlMsg::AckBatch`], up to `ctrl_batch` per frame within the
+//!   flush window) and the source retires blocks on those acks; a block
+//!   stays pinned until then, which is what lets the channel and io_uring
+//!   backends read it after the send call returns.
+//! * **Placement is the link read.** The receiver reads each frame's
 //!   wire image straight into the slot its credit named — the transport
 //!   hands over the header first, then fills the credited buffer, so
 //!   there is no intermediate copy on either side of the wire.
 //!
-//! Everything else — pools, credit granter, reorder buffer, first-
-//! placement dedup bitmap, in-order dispatch, fault injection and the
-//! retransmit watchdog — is the exact machinery of the main pipeline.
+//! Pools and FSMs, the proactive credit granter, the reorder buffer and
+//! the first-placement dedup bitmap are the exact `rftp-core` types.
 
 use crate::coalesce::{channel_events, drain_coalesced, CoalescedSink, DrainEnd};
 use crate::hist::{NsHist, StageTails};
@@ -322,8 +322,9 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     let mut tally = Tally::default();
 
     std::thread::scope(|s| {
-        // Loaders: identical to the main pipeline, plus the failure poll
-        // in the free-wait so a dead transport releases them.
+        // Loaders: claim sequence numbers, fill blocks with header +
+        // payload, hand them to the dispatcher. The free-wait polls the
+        // failure latch so a dead transport releases them.
         let loader_handles: Vec<_> = (0..cfg.loaders)
             .map(|_| {
                 let loaded_tx = loaded_tx.clone();
@@ -334,6 +335,14 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                     let mut load_ns = 0u64;
                     let mut load_hist = NsHist::new();
                     loop {
+                        // Hold a block BEFORE claiming a sequence:
+                        // claiming first would let sibling loaders absorb
+                        // the whole pool for later sequences and starve
+                        // the one the in-order pipeline needs next (the
+                        // head-of-line hazard described at the
+                        // dispatcher). Read-ahead pacing rides the same
+                        // wait: a loader only prefetches while fewer than
+                        // `ra_limit` blocks are in flight.
                         let mut spins = 0;
                         let block = loop {
                             if next_seq.load(Ordering::Relaxed) >= total_blocks || fail.is_set() {
@@ -418,9 +427,13 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                 let mut ctrl_sent = 0u64;
                 let mut credit_requests = 0u64;
                 let mut dropped = 0u64;
-                // Dispatch must stay in sequence order (the head-of-line
-                // invariant the main pipeline documents); loaders finish
-                // out of order.
+                // Blocks must be DISPATCHED in sequence order. Loaders
+                // finish out of order, and if later sequences were
+                // allowed to consume credits while an earlier one waits,
+                // the sink's bounded pool could fill with blocks its
+                // in-order consumer cannot accept — a head-of-line
+                // deadlock (DESIGN.md §8). Reordering here keeps the
+                // oldest outstanding sequence owning a credit.
                 let mut dispatch_order = ReorderBuffer::<u32>::new();
                 let mut ready: std::collections::VecDeque<u32> = Default::default();
                 let mut drain: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
@@ -567,8 +580,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             })
         };
 
-        // Retransmit watchdog, as in the main pipeline: unacked past the
-        // deadline goes back on the wire. Statically configured runs use
+        // Retransmit watchdog: a dispatched block unacked past the
+        // deadline goes back on the wire. Re-sends roll the same drop
+        // dice as first sends, so a retransmit can itself be lost and
+        // retried. Statically configured runs use
         // the fixed `retx_timeout`; adaptive runs start from a deadline
         // that cannot fire before the path is measured (a fixed 100 ms
         // default fires spuriously at WAN RTTs) and then track the
@@ -841,9 +856,10 @@ pub(crate) type FairShare<'a> = Option<(&'a WeightedFair, u64)>;
 
 /// The sink's protocol brain: negotiation, credit grants, in-order
 /// verify-and-free, and the coalesced sink→source control traffic
-/// (`AckBatch` for placements, `CreditBatch` for grants — same caps and
-/// flush window as the main pipeline). Shared by the thread-per-channel
-/// sink below and the io_uring sink driver ([`crate::uring`]).
+/// (`AckBatch` for placements, `CreditBatch` for grants, `ctrl_batch`
+/// entries per frame within the flush window). Shared by the
+/// thread-per-channel sink below and the io_uring sink driver
+/// ([`crate::uring`]).
 ///
 /// Buffers arrive as a borrowed *view* (`&[&Mutex<SlotBuf>]`): a
 /// standalone sink passes refs to its own pool, a daemon session passes
@@ -1060,9 +1076,8 @@ impl SinkHandler<'_> {
     }
 }
 
-/// The shared [`drain_coalesced`] loop drives the handler — the same
-/// dwell/flush shape as the main pipeline's control handlers, with
-/// arrivals, peer control frames, and link EOFs as the event stream.
+/// The shared [`drain_coalesced`] loop drives the handler, with arrivals,
+/// peer control frames, and link EOFs as the event stream.
 impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
     type Err = io::Error;
 
@@ -1471,9 +1486,10 @@ pub(crate) fn run_sink_session(
     })
 }
 
-/// Run both halves in this process over the in-proc channel transport —
-/// the split pipeline's loopback. Source takes the `src_file`/fault side
-/// of `cfg`, sink the `dst_file` side. Returns `(source, sink)` reports.
+/// Run both halves in this process over the in-proc channel transport.
+/// Source takes the `src_file`/fault side of `cfg`, sink the `dst_file`
+/// side. Returns `(source, sink)` reports; [`crate::run_live`] merges
+/// them into one.
 pub fn run_split_pair(cfg: &LiveConfig) -> io::Result<(LiveReport, LiveReport)> {
     run_split_pair_wan(cfg, &rftp_faults::WanProfile::clean())
 }
@@ -1499,25 +1515,58 @@ pub fn run_split_pair_wan(
         let sink = s.spawn(|| run_split_sink(&snk_cfg, kt, None));
         let source = run_split_source(&src_cfg, st);
         let sink = sink.join().expect("sink half panicked");
-        Ok((source?, sink?))
+        match (source, sink) {
+            (Ok(src), Ok(snk)) => Ok((src, snk)),
+            // When one half fails, the other sees its peer vanish
+            // (BrokenPipe); report the half whose error names the cause.
+            (Err(e), Err(k)) if e.kind() == io::ErrorKind::BrokenPipe => Err(k),
+            (Err(e), _) | (_, Err(e)) => Err(e),
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rftp_core::wire::MAX_ACKS_PER_BATCH;
 
     const SCALE: u64 = if cfg!(debug_assertions) { 8 } else { 1 };
 
+    /// The pattern transfer across the geometries the in-process engine
+    /// must handle: the default wire, the unbatched wire (one control
+    /// frame per event, same bytes), a two-block pool that forces every
+    /// block through a fresh credit, and a wide 8 channels × 4 loaders.
     #[test]
     fn split_pair_moves_pattern_data_exactly() {
-        let mut cfg = LiveConfig::new(64 * 1024, 2, (8 << 20) / SCALE);
-        cfg.pool_blocks = 16;
-        let (src, snk) = run_split_pair(&cfg).expect("split transfer");
-        assert_eq!(src.blocks, 128 / SCALE);
-        assert_eq!(snk.blocks, 128 / SCALE);
-        assert_eq!(snk.checksum_failures, 0);
-        assert!(src.ctrl_msgs > 0 && snk.ctrl_msgs > 0);
+        // (block, channels, loaders, pool, initial credits, grant, batch)
+        let cases: [(usize, usize, usize, u32, u32, u32, usize); 4] = [
+            (64 << 10, 2, 2, 16, 2, 2, MAX_ACKS_PER_BATCH),
+            (64 << 10, 2, 2, 16, 2, 2, 1),
+            (256 << 10, 2, 2, 2, 1, 1, MAX_ACKS_PER_BATCH),
+            (128 << 10, 8, 4, 32, 2, 2, MAX_ACKS_PER_BATCH),
+        ];
+        for (block, channels, loaders, pool, initial, grant, batch) in cases {
+            let mut cfg = LiveConfig::new(block, channels, (8 << 20) / SCALE);
+            cfg.loaders = loaders;
+            cfg.pool_blocks = pool;
+            cfg.initial_credits = initial;
+            cfg.grant_per_completion = grant;
+            cfg.ctrl_batch = batch;
+            let (src, snk) = run_split_pair(&cfg).expect("split transfer");
+            let blocks = cfg.total_blocks();
+            assert_eq!(src.blocks, blocks, "{cfg:?}");
+            assert_eq!(snk.blocks, blocks, "{cfg:?}");
+            assert_eq!(snk.checksum_failures, 0, "{cfg:?}");
+            assert!(src.ctrl_msgs > 0 && snk.ctrl_msgs > 0);
+            if batch == 1 {
+                // Unbatched: every placement is its own BlockComplete.
+                assert!(
+                    snk.ctrl_msgs >= 2 * blocks,
+                    "unbatched wire must pay per-block control: {} frames for {blocks} blocks",
+                    snk.ctrl_msgs
+                );
+            }
+        }
     }
 
     #[test]
@@ -1552,14 +1601,15 @@ mod tests {
         assert_eq!(snk.checksum_failures, 0);
     }
 
-    #[test]
-    fn split_pair_recovers_dropped_payloads() {
+    fn recover_dropped_payloads(ctrl_batch: usize, seed: u64) {
         let mut cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE);
         cfg.pool_blocks = 8;
+        cfg.ctrl_batch = ctrl_batch;
         cfg.fault_drop_p = 0.2;
-        cfg.fault_seed = 7;
+        cfg.fault_seed = seed;
         cfg.retx_timeout = std::time::Duration::from_millis(25);
         let (src, snk) = run_split_pair(&cfg).expect("split transfer");
+        assert_eq!(snk.blocks, cfg.total_blocks());
         assert_eq!(snk.checksum_failures, 0);
         assert!(src.dropped_payloads >= 1, "fault injector never fired");
         assert!(
@@ -1568,6 +1618,16 @@ mod tests {
             src.dropped_payloads,
             src.retransmits
         );
+    }
+
+    #[test]
+    fn split_pair_recovers_dropped_payloads() {
+        recover_dropped_payloads(MAX_ACKS_PER_BATCH, 7);
+    }
+
+    #[test]
+    fn split_pair_recovers_dropped_payloads_unbatched() {
+        recover_dropped_payloads(1, 3);
     }
 
     #[test]
@@ -1581,28 +1641,7 @@ mod tests {
         }
     }
 
-    /// Both halves over the in-proc transport with a WAN shim between
-    /// them — the unit-test form of the two-process `--wan` runs.
-    fn run_wan_pair(
-        cfg: &LiveConfig,
-        wan: &rftp_faults::WanProfile,
-    ) -> io::Result<(LiveReport, LiveReport)> {
-        let pair = channel_transport(cfg.channels, cfg.channel_depth);
-        let (st, kt) = crate::netem::wrap_pair(pair, wan);
-        let mut src_cfg = cfg.clone();
-        src_cfg.dst_file = None;
-        let mut snk_cfg = cfg.clone();
-        snk_cfg.src_file = None;
-        snk_cfg.fault_drop_p = 0.0;
-        std::thread::scope(|s| {
-            let sink = s.spawn(|| run_split_sink(&snk_cfg, kt, None));
-            let source = run_split_source(&src_cfg, st);
-            let sink = sink.join().expect("sink half panicked");
-            Ok((source?, sink?))
-        })
-    }
-
-    /// The watchdog regression ISSUE 10 names: at 49 ms RTT a clean
+    /// The watchdog regression: at 49 ms RTT a clean
     /// transfer must finish with **zero** retransmits. A fixed 100 ms
     /// deadline survives this; the adaptive deadline must too, even
     /// after `rttvar` has decayed and the RTO has tightened onto `srtt`.
@@ -1613,7 +1652,7 @@ mod tests {
         cfg.pool_blocks = 16;
         cfg.apply_wan(&wan);
         assert!(cfg.adaptive);
-        let (src, snk) = run_wan_pair(&cfg, &wan).expect("wan transfer");
+        let (src, snk) = run_split_pair_wan(&cfg, &wan).expect("wan transfer");
         assert_eq!(snk.checksum_failures, 0);
         assert_eq!(src.retransmits, 0, "clean 49 ms path must not retransmit");
         assert_eq!(snk.duplicate_payloads, 0);
@@ -1645,7 +1684,7 @@ mod tests {
         let mut cfg = LiveConfig::new(64 * 1024, 1, 1 << 20);
         cfg.pool_blocks = 16;
         cfg.apply_wan(&wan);
-        let (src, snk) = run_wan_pair(&cfg, &wan).expect("wan transfer");
+        let (src, snk) = run_split_pair_wan(&cfg, &wan).expect("wan transfer");
         assert_eq!(snk.checksum_failures, 0);
         assert_eq!(src.retransmits, 0);
         let adapt = snk.adapt.expect("adaptive sink snapshot");

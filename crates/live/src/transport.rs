@@ -8,10 +8,13 @@
 //! source to sink. The layer has two backends:
 //!
 //! * **channels** ([`channel_transport`]) — in-process crossbeam
-//!   channels, the loopback of the suite. Control rides real encoded
-//!   frame bytes; data frames copy the wire image once at send (the
-//!   channel *is* the wire). Used to test the split pipeline without
-//!   sockets, and as the latency floor the TCP backend is compared to.
+//!   channels, the engine under [`crate::run_live`] and the loopback of
+//!   the suite. Control rides real encoded frame bytes. A data frame from
+//!   [`DataTx::send_block`] carries only its header and the index of the
+//!   pinned source block; the receiver copies the wire image from that
+//!   block straight into the credited slot — one copy per block, the
+//!   RDMA WRITE analogue (see [`channel_transport`] for why reading at
+//!   receive time is safe).
 //! * **TCP** ([`crate::net`]) — real stream sockets, one per link, so
 //!   the two halves can run as separate OS processes on separate hosts.
 //!
@@ -26,7 +29,7 @@ use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder};
 use rftp_core::{CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The pinned block pool as a transport sees it: slot index → locked
 /// slot buffer, shared between the pipeline and any in-flight sends.
@@ -57,12 +60,13 @@ pub trait DataTx: Send + Sync {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()>;
 
     /// Ship one block straight from its pinned pool slot. The default
-    /// locks the slot and sends its wire image synchronously; a
-    /// completion-based backend (io_uring) overrides this to *queue* a
-    /// zero-copy send referencing the registered buffer instead — legal
-    /// because the block stays pinned until its ack retires it, so the
-    /// kernel always reads stable memory, and a retransmit rewrites
-    /// byte-identical contents.
+    /// locks the slot and sends its wire image synchronously; io_uring
+    /// overrides this to *queue* a zero-copy send referencing the
+    /// registered buffer, and the channel backend to queue only the block
+    /// index for its receiver to copy from. Both are legal because the
+    /// block stays pinned until its ack retires it, so a deferred read
+    /// sees stable memory, and a retransmit carries byte-identical
+    /// contents.
     fn send_block(
         &self,
         hdr: DataFrameHeader,
@@ -133,8 +137,9 @@ pub struct SourceTransport {
     /// transfer starts. A completion-based backend registers the slots
     /// as fixed buffers (the MR-registration analogue — the kernel pins
     /// and maps them once instead of per operation) so
-    /// [`DataTx::send_block`] can reference them by index; stream
-    /// backends ignore it.
+    /// [`DataTx::send_block`] can reference them by index; the channel
+    /// backend shares the pool with its receivers for the same reason;
+    /// stream backends ignore it.
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
     /// pipeline's own (0 for synchronous backends — the dispatcher's
@@ -239,18 +244,55 @@ impl CtrlRx for ChanCtrlRx {
     }
 }
 
-struct ChanDataTx(Closable<(DataFrameHeader, Box<[u8]>)>);
+/// A data frame's wire image on a channel: an owned copy (the raw
+/// [`DataTx::send`]), or the index of a pinned block in the registered
+/// source pool (the [`DataTx::send_block`] fast path).
+enum Wire {
+    Owned(Box<[u8]>),
+    Pinned(u32),
+}
+
+type DataFrame = (DataFrameHeader, Wire);
+
+/// The source pool the source half registered, shared by every data
+/// link of the pair: senders check frames against it, receivers copy
+/// pinned frames out of it.
+type Registered = Arc<OnceLock<BufPool>>;
+
+struct ChanDataTx {
+    link: Closable<DataFrame>,
+    pool: Registered,
+}
 
 impl DataTx for ChanDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
         debug_assert_eq!(wire.len(), hdr.wire_len());
-        self.0.send((hdr, wire.into()))
+        self.link.send((hdr, Wire::Owned(wire.into())))
+    }
+
+    fn send_block(
+        &self,
+        hdr: DataFrameHeader,
+        bufs: &[Mutex<SlotBuf>],
+        block: u32,
+    ) -> io::Result<()> {
+        let pool = self.pool.get().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "send_block before register")
+        })?;
+        if !std::ptr::eq(bufs, pool.as_slice()) || block as usize >= pool.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("block {block} is not in the registered pool"),
+            ));
+        }
+        self.link.send((hdr, Wire::Pinned(block)))
     }
 }
 
 struct ChanDataRx {
-    rx: Receiver<(DataFrameHeader, Box<[u8]>)>,
-    pending: Option<Box<[u8]>>,
+    rx: Receiver<DataFrame>,
+    pool: Registered,
+    pending: Option<Wire>,
 }
 
 impl DataRx for ChanDataRx {
@@ -266,8 +308,14 @@ impl DataRx for ChanDataRx {
     }
 
     fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        let wire = self.pending.take().expect("recv_wire without a header");
-        buf[..wire.len()].copy_from_slice(&wire);
+        match self.pending.take().expect("recv_wire without a header") {
+            Wire::Owned(wire) => buf[..wire.len()].copy_from_slice(&wire),
+            Wire::Pinned(block) => {
+                // The WRITE: registered source block → credited slot.
+                let pool = self.pool.get().expect("pinned frame without a pool");
+                buf.copy_from_slice(&pool[block as usize].lock()[..buf.len()]);
+            }
+        }
         Ok(())
     }
 
@@ -280,6 +328,16 @@ impl DataRx for ChanDataRx {
 /// Build a connected in-process transport pair: `channels` data links of
 /// `depth` frames each, control links deep enough that coalesced control
 /// traffic never blocks on the link itself.
+///
+/// The source's `register` hook hands its block pool to both ends, and
+/// [`DataTx::send_block`] then queues only `(header, block index)`: the
+/// receiver's [`DataRx::recv_wire`] reads the pinned block at placement
+/// time. That late read is safe without any fence. The sink claims each
+/// sequence in its placement bitmap before reading, so only the first
+/// claimant of a sequence reads the block, and that read completes
+/// before the sink acks the sequence — and the ack is what frees the
+/// block for reuse. Later copies of the sequence (retransmits) are
+/// discarded with [`DataRx::discard_wire`], which never touches the pool.
 pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, SinkTransport) {
     let (c_s2k_tx, c_s2k_rx) = bounded::<CtrlBytes>(1024);
     let (c_k2s_tx, c_k2s_rx) = bounded::<CtrlBytes>(1024);
@@ -288,12 +346,20 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
     let mut data_tx: Vec<Box<dyn DataTx>> = Vec::with_capacity(channels);
     let mut data_rx: Vec<Box<dyn DataRx>> = Vec::with_capacity(channels);
     let mut data_closers = Vec::with_capacity(channels);
+    let pool: Registered = Arc::default();
     for _ in 0..channels {
-        let (tx, rx) = bounded::<(DataFrameHeader, Box<[u8]>)>(depth);
-        let (closable, closer) = Closable::new(tx);
+        let (tx, rx) = bounded::<DataFrame>(depth);
+        let (link, closer) = Closable::new(tx);
         data_closers.push(closer);
-        data_tx.push(Box::new(ChanDataTx(closable)));
-        data_rx.push(Box::new(ChanDataRx { rx, pending: None }));
+        data_tx.push(Box::new(ChanDataTx {
+            link,
+            pool: pool.clone(),
+        }));
+        data_rx.push(Box::new(ChanDataRx {
+            rx,
+            pool: pool.clone(),
+            pending: None,
+        }));
     }
     // Closing the source→sink senders is both the graceful write
     // shutdown and the source's abort: the sink reads end-of-stream
@@ -315,7 +381,14 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
             dec: FrameDecoder::new(),
         }),
         data: Arc::new(data_tx),
-        register: Box::new(|_| Ok(())),
+        register: Box::new(move |bufs| {
+            pool.set(bufs.clone()).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    "source pool already registered",
+                )
+            })
+        }),
         transport_threads: 0,
         shutdown_write: Box::new(close_s2k.clone()),
         abort: Arc::new(close_s2k),
@@ -381,5 +454,73 @@ mod tests {
         (src.shutdown_write)();
         assert!(snk.data[0].recv_header().unwrap().is_none());
         assert!(snk.data[1].recv_header().unwrap().is_none());
+    }
+
+    fn pool(blocks: usize, fill: u8) -> BufPool {
+        Arc::new(
+            (0..blocks)
+                .map(|_| {
+                    let mut b = SlotBuf::new(64);
+                    b.fill(fill);
+                    Mutex::new(b)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn channel_pinned_frames_read_the_registered_pool() {
+        let (src, mut snk) = channel_transport(1, 4);
+        let bufs = pool(2, 0xAA);
+        (src.register)(&bufs).unwrap();
+        let hdr = DataFrameHeader {
+            session: 1,
+            seq: 0,
+            slot: 0,
+            len: 8,
+        };
+        src.data[0].send_block(hdr, &bufs, 1).unwrap();
+        // The frame holds an index, not bytes: what lands in the slot is
+        // the pinned block as it reads at recv_wire time.
+        bufs[1].lock().fill(0x5C);
+        let got = snk.data[0].recv_header().unwrap().unwrap();
+        let mut slot = vec![0u8; got.wire_len()];
+        snk.data[0].recv_wire(&mut slot).unwrap();
+        assert!(slot.iter().all(|&b| b == 0x5C));
+
+        // A duplicate is discarded without touching the pool: it must
+        // complete while another thread holds the block it names.
+        src.data[0].send_block(hdr, &bufs, 1).unwrap();
+        let got = snk.data[0].recv_header().unwrap().unwrap();
+        let held = bufs[1].lock();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            snk.data[0].discard_wire(got.wire_len()).unwrap();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("discard_wire blocked on the source pool");
+        drop(held);
+    }
+
+    #[test]
+    fn channel_send_block_needs_the_registered_pool() {
+        let (src, _snk) = channel_transport(1, 4);
+        let hdr = DataFrameHeader {
+            session: 1,
+            seq: 0,
+            slot: 0,
+            len: 8,
+        };
+        let bufs = pool(2, 0);
+        let err = src.data[0].send_block(hdr, &bufs, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        (src.register)(&bufs).unwrap();
+        assert!((src.register)(&bufs).is_err(), "a pool registers once");
+        let other = pool(2, 0);
+        assert!(src.data[0].send_block(hdr, &other, 0).is_err());
+        assert!(src.data[0].send_block(hdr, &bufs, 2).is_err());
+        src.data[0].send_block(hdr, &bufs, 1).unwrap();
     }
 }
